@@ -71,7 +71,7 @@ func runAlign(args []string) {
 	spillDir := fs.String("spill", "", "directory for slab spill files; sealed slabs page to disk between batches")
 	traceback := fs.Bool("traceback", false, "emit CIGARs")
 	traceMin := fs.Int("trace-min-score", 0, "emit CIGARs only for comparisons scoring at least this (0 = all; needs -traceback)")
-	traceMode := fs.String("trace-mode", "auto", "traceback recording strategy: auto, replay or fused")
+	traceMode := fs.String("trace-mode", "auto", "when traceback records (always with the fused kernel): auto, replay (deferred after the score pass) or fused (inline)")
 	fs.Parse(args)
 	if *in == "" {
 		fs.Usage()
@@ -232,7 +232,7 @@ func runServe(args []string) {
 	dedup := fs.Bool("dedup", false, "deduplicate identical extensions within a job")
 	traceback := fs.Bool("traceback", false, "emit CIGARs")
 	traceMin := fs.Int("trace-min-score", 0, "emit CIGARs only for comparisons scoring at least this (0 = all; needs -traceback)")
-	traceMode := fs.String("trace-mode", "auto", "traceback recording strategy: auto, replay or fused")
+	traceMode := fs.String("trace-mode", "auto", "when traceback records (always with the fused kernel): auto, replay (deferred after the score pass) or fused (inline)")
 	window := fs.Int("window", 256, "replay window (chunks) per job for stream resume")
 	linger := fs.Duration("linger", 0, "default grace before a disconnected job is cancelled")
 	rate := fs.Float64("tenant-rate", 0, "per-tenant admitted jobs per second (0 = unlimited)")

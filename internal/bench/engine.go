@@ -81,12 +81,12 @@ type DedupThroughput struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 }
 
-// TracebackThroughput measures the cost and footprint of the two-pass
-// traceback: the same plan run score-only and with CIGAR emission.
+// TracebackThroughput measures the cost and footprint of traceback: the
+// same plan run score-only and with CIGAR emission.
 type TracebackThroughput struct {
 	// ScoreOnlyMcellsPerSec and TracebackMcellsPerSec are computed DP
 	// cells over host wall time with traceback off vs on (the on run
-	// pays the recording replay, so the ratio tracks the two-pass cost).
+	// pays direction recording, so the ratio tracks the recording cost).
 	ScoreOnlyMcellsPerSec float64 `json:"score_only_mcells_per_sec"`
 	TracebackMcellsPerSec float64 `json:"traceback_mcells_per_sec"`
 	// PeakTracebackBytes is Report.PeakTracebackBytes of the traceback
@@ -108,7 +108,10 @@ type TraceFastpathCutoff struct {
 	// (0 for "off").
 	MinScore int `json:"min_score"`
 	// ReplayMcellsPerSec and FusedMcellsPerSec are computed DP cells
-	// over host wall time under TraceModeReplay vs TraceModeFused.
+	// over host wall time under TraceModeReplay vs TraceModeFused. Both
+	// record with the fused kernel: replay mode scores first and re-runs
+	// it for every traced extension afterwards, fused mode records
+	// inline, so the gap is the cost of that second sweep.
 	ReplayMcellsPerSec float64 `json:"replay_mcells_per_sec"`
 	FusedMcellsPerSec  float64 `json:"fused_mcells_per_sec"`
 	// TracedExtensions and SkippedExtensions are the gate counters of
@@ -119,10 +122,10 @@ type TraceFastpathCutoff struct {
 }
 
 // TracebackFastpathThroughput measures the score-gated traceback fast
-// path and the fused single-pass recording on a small-band, hit-sparse
-// workload. Every gated or fused run is verified bit-identical in-bench:
-// above-cutoff results against the ungated replay run, below-cutoff
-// results against the score-only run.
+// path and inline (fused-mode) against deferred (replay-mode) recording
+// on a small-band, hit-sparse workload. Every gated or fused run is
+// verified bit-identical in-bench: above-cutoff results against the
+// ungated replay run, below-cutoff results against the score-only run.
 type TracebackFastpathThroughput struct {
 	// ScoreOnlyMcellsPerSec is the traceback-off baseline on the same
 	// workload — the ceiling the gated path approaches as the cutoff
@@ -650,9 +653,9 @@ func faultsBench(opt Options) (*FaultsThroughput, error) {
 	return out, nil
 }
 
-// tracebackBench times the same workload score-only and with the
-// two-pass traceback enabled, and reports the peak trace footprint the
-// traceback run measured.
+// tracebackBench times the same workload score-only and with traceback
+// enabled, and reports the peak trace footprint the traceback run
+// measured.
 func tracebackBench(opt Options) (*TracebackThroughput, error) {
 	d := opt.engineBenchDataset(9)
 	run := func(traceback bool) (*driver.Report, float64, error) {
@@ -679,10 +682,11 @@ func tracebackBench(opt Options) (*TracebackThroughput, error) {
 }
 
 // tracebackFastpathBench measures the score-gated traceback fast path
-// and the fused single-pass recording. The workload is small-band (δb=64,
-// reads capped at ~900 bp so forced fusion's per-thread arenas stay
-// within tile SRAM) and hit-sparse under the higher cutoffs: at p95 only
-// one in twenty comparisons pays for a CIGAR, so throughput should
+// and inline against deferred recording (both run the fused kernel; the
+// deferred one after a separate score pass). The workload is small-band
+// (δb=64, reads capped at ~900 bp so forced fusion's per-thread arenas
+// stay within tile SRAM) and hit-sparse under the higher cutoffs: at p95
+// only one in twenty comparisons pays for a CIGAR, so throughput should
 // approach the score-only ceiling. Every run is verified bit-identical
 // before any number is reported: above-cutoff results against the
 // ungated replay run, below-cutoff results against the score-only run —
@@ -697,10 +701,10 @@ func tracebackFastpathBench(opt Options) (*TracebackFastpathThroughput, error) {
 	// Racy work stealing duplicates a unit's execution on exact counter
 	// ties, inflating that result's trace stats — and the tie pattern
 	// depends on per-unit instruction costs, which differ between replay
-	// (two passes) and fused (one). That schedule noise is documented,
-	// fingerprinted behaviour, but it would confound the cross-mode
-	// bit-identity oracle here, so the fastpath bench runs statically
-	// scheduled.
+	// mode (score pass plus a deferred recording) and fused mode (one
+	// inline sweep). That schedule noise is documented, fingerprinted
+	// behaviour, but it would confound the cross-mode bit-identity oracle
+	// here, so the fastpath bench runs statically scheduled.
 	mkCfg := func(minScore int, mode core.TraceMode) driver.Config {
 		cfg := opt.driverConfig(15, 64, 1)
 		cfg.Kernel.WorkStealing = false
@@ -921,7 +925,7 @@ func EngineExp(opt Options) error {
 		dt.Render(opt.W)
 	}
 	if tb := res.Traceback; tb != nil {
-		tt := metrics.NewTable("Engine — two-pass traceback cost (host-measured)",
+		tt := metrics.NewTable("Engine — traceback cost (host-measured)",
 			"score-only Mcells/s", "traceback Mcells/s", "peak trace B", "total trace B")
 		tt.AddRow(tb.ScoreOnlyMcellsPerSec, tb.TracebackMcellsPerSec,
 			tb.PeakTracebackBytes, tb.TracebackBytes)
@@ -935,7 +939,7 @@ func EngineExp(opt Options) error {
 			ft.AddRow(c.Cutoff, c.MinScore, c.ReplayMcellsPerSec, c.FusedMcellsPerSec,
 				c.TracedExtensions, c.SkippedExtensions)
 		}
-		ft.AddNote("score-only ceiling %.1f Mcells/s; replay and fused verified bit-identical to the ungated/score-only oracle at every cutoff",
+		ft.AddNote("score-only ceiling %.1f Mcells/s; both modes record with the fused kernel (replay = score pass, then a deferred fused re-run; fused = inline), verified bit-identical to the ungated/score-only oracle at every cutoff",
 			tf.ScoreOnlyMcellsPerSec)
 		ft.Render(opt.W)
 	}

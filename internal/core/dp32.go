@@ -96,7 +96,7 @@ type Workspace struct {
 	// actually runs, so wide-only workloads pay nothing.
 	nb0, nb1, nb2      []int16
 	ne0, ne1, nf0, nf1 []int16
-	// tb is the traceback replay's state (rows, window index, packed
+	// tb is the traceback recording's state (window index, packed
 	// direction codes); see traceback.go. Untouched by the score pass.
 	tb tracer
 }

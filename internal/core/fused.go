@@ -1,36 +1,42 @@
 package core
 
 // Fused single-pass traceback: the scoring sweep records 2/4-bit
-// direction codes as it goes, so eligible extensions skip the replay of
-// the two-pass scheme entirely. The loops are structured like the score
-// kernels (NegInf-padded rotating buffers, resolved byte-row slices,
-// peeled boundaries, fringe-scan liveness recovery, statAcc counters) so
-// the recording costs roughly one sweep instead of two — and the
-// returned Result is bit-identical to the score kernels' in every field,
-// including the trace counters, while the recorded directions (and
-// therefore the CIGAR) are bit-identical to the replay tracer's.
+// direction codes as it goes. These are the only recording kernels —
+// every Traceback* entry point runs them. The loops are structured like
+// the score kernels (NegInf-padded rotating buffers, resolved byte-row
+// slices, peeled boundaries, fringe-scan liveness recovery, statAcc
+// counters) so recording costs roughly one sweep, and the returned
+// Result is bit-identical to the score kernels' in every field,
+// including the trace counters; the recorded directions (and therefore
+// the CIGAR) are pinned against the tests' cell-by-cell replay oracle.
 //
-// Eligibility (FusedEligible): the int32 wide kernels only. Narrow
-// (int16) extensions keep the two-pass scheme — fusing them would change
-// the batch tier counters — and AlgoReference keeps its full-matrix
-// oracle. The memory trade is explicit: a fused recording lives on its
-// thread for the whole scoring pass, so the SRAM model charges one
-// direction arena per thread (ipukernel.TileMemoryBytes) instead of the
-// single serialized replay arena.
+// Inline eligibility (FusedEligible): only where the fused Result can
+// stand in for the score pass — the int32 wide kernels. A narrow (int16)
+// extension is scored by its own kernel, since fusing it would change
+// the batch tier counters, and AlgoReference is scored by its
+// full-matrix oracle; both still record with the fused kernel, after
+// their score pass. The memory trade is explicit: an inline recording
+// lives on its thread for the whole scoring pass, so the SRAM model
+// charges one direction arena per thread (ipukernel.TileMemoryBytes)
+// instead of the single serialized replay arena.
 
-// TraceMode selects how traceback direction data is recorded.
+// TraceMode selects when traceback direction data is recorded. The host
+// always records with the fused kernel; the mode only decides whether a
+// recording happens inline, during the scoring pass (the SRAM model
+// charges one direction arena per thread), or deferred, after the tile's
+// score pass, serially on the single replay arena the model charges.
 type TraceMode int
 
 const (
-	// TraceModeAuto fuses recording into the scoring pass for eligible
-	// extensions whose direction-arena bound fits the per-thread fused
-	// budget, and replays the rest. The default.
+	// TraceModeAuto records inline for eligible extensions whose
+	// direction-arena bound fits the per-thread fused budget, and defers
+	// the rest. The default.
 	TraceModeAuto TraceMode = iota
-	// TraceModeReplay always uses the two-pass replay scheme (PR 5
-	// behaviour).
+	// TraceModeReplay defers every recording to after the score pass
+	// and charges the serialized replay arena.
 	TraceModeReplay
-	// TraceModeFused fuses every eligible extension regardless of the
-	// budget heuristic; SRAM admission still certifies the tile.
+	// TraceModeFused records every eligible extension inline regardless
+	// of the budget heuristic; SRAM admission still certifies the tile.
 	TraceModeFused
 )
 
@@ -46,10 +52,10 @@ func (m TraceMode) String() string {
 	}
 }
 
-// FusedEligible reports whether an m×n extension under p can use the
-// fused single-pass recording: the wide (int32) linear and affine
-// kernels only. Narrow-tier extensions and the Reference oracle keep
-// the two-pass replay.
+// FusedEligible reports whether an m×n extension under p can record
+// inline, the fused Result standing in for its score pass: the wide
+// (int32) linear and affine kernels only. Narrow-tier extensions and the
+// Reference oracle are scored by their own kernels and record afterwards.
 func FusedEligible(m, n int, p Params) bool {
 	if p.Algo == AlgoReference {
 		return false
@@ -58,7 +64,7 @@ func FusedEligible(m, n int, p Params) bool {
 }
 
 // fusedExtend dispatches the fused kernels, leaving the walk-order ops
-// in w.tb.ops like the replay tracer does.
+// in w.tb.ops.
 func (w *Workspace) fusedExtend(h, v View, p Params) (Result, Trace, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, Trace{}, err
@@ -71,39 +77,24 @@ func (w *Workspace) fusedExtend(h, v View, p Params) (Result, Trace, error) {
 
 // FusedExtendRight runs the right seed extension (ExtendRight geometry)
 // with fused direction recording: the Result bit-matches ExtendRight and
-// the Trace bit-matches TracebackRight (Cigar in sequence-forward
-// order).
+// the Trace is TracebackRight's (Cigar in sequence-forward order).
 func (w *Workspace) FusedExtendRight(h, v []byte, hOff, vOff int, p Params) (Result, Trace, error) {
-	r, tr, err := w.fusedExtend(NewView(h[hOff:]), NewView(v[vOff:]), p)
-	if err != nil {
-		w.tb.trim()
-		return Result{}, Trace{}, err
-	}
-	tr.Cigar = encodeOps(w.tb.ops, true)
-	w.tb.trim()
-	return r, tr, nil
+	return w.recordExtension(NewView(h[hOff:]), NewView(v[vOff:]), p, true)
 }
 
 // FusedExtendLeft is FusedExtendRight for the left seed extension
 // (ExtendLeft geometry, reversed views; Cigar in sequence-forward
 // order, matching TracebackLeft).
 func (w *Workspace) FusedExtendLeft(h, v []byte, hOff, vOff int, p Params) (Result, Trace, error) {
-	r, tr, err := w.fusedExtend(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p)
-	if err != nil {
-		w.tb.trim()
-		return Result{}, Trace{}, err
-	}
-	tr.Cigar = encodeOps(w.tb.ops, false)
-	w.tb.trim()
-	return r, tr, nil
+	return w.recordExtension(NewReversedView(h[:hOff]), NewReversedView(v[:vOff]), p, false)
 }
 
-// fusedLinear is the fused linear-gap kernel (Restricted2 / Standard3
-// semantics, selected by p.Algo exactly like linearCapacity). The loop
-// body mirrors Restricted2's padded-window sweep with the replay
-// tracer's per-cell code assignment folded in; the rotation uses three
-// distinct buffers (like Standard3) so the recording loop needs no
-// in-place aliasing carry.
+// fusedLinear is the fused linear-gap kernel (Restricted2 / Standard3 /
+// Reference semantics, selected by p.Algo exactly like linearCapacity).
+// The loop body mirrors Restricted2's padded-window sweep with the
+// per-cell code assignment folded in; the rotation uses three distinct
+// buffers (like Standard3) so the recording loop needs no in-place
+// aliasing carry.
 func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 	m, n := h.Len(), v.Len()
 	delta := min(m, n) + 1
@@ -214,7 +205,7 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 					drv := d1r[k]
 					// The kernels take the gap branch only when it
 					// strictly beats the diagonal; between the two gap
-					// sources up wins ties (the replay tracer's rule).
+					// sources up wins ties.
 					if g := max(dlv, drv) + gap; g > s {
 						s = g
 						if dlv >= drv {
@@ -367,9 +358,9 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 }
 
 // fusedAffine is the fused Gotoh affine-gap kernel: Affine's padded
-// three-channel sweep with the replay tracer's 4-bit nibble assignment
-// (H source in the low 2 bits, E/F gap-extension flags above) folded
-// into the scoring loop.
+// three-channel sweep with the 4-bit nibble assignment (H source in the
+// low 2 bits, E/F gap-extension flags above) folded into the scoring
+// loop.
 func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 	m, n := h.Len(), v.Len()
 	delta := min(m, n) + 1

@@ -16,31 +16,38 @@ func fusedVariants() map[string]Params {
 }
 
 // checkFusedExtension runs one extension side three ways — score-only,
-// two-pass replay, fused single-pass — and pins the three-way contract:
-// the fused Result bit-matches the score kernel in every field (the
-// kernel accumulates fused Stats as if the score kernel ran), and the
-// fused Trace bit-matches the replay tracer's (score, end points, CIGAR,
-// clamp flag and trace-byte accounting), with the CIGAR independently
-// re-scoring to the kernel score.
+// the test-side two-pass replay oracle, fused single-pass — and pins the
+// three-way contract: the fused Result bit-matches the score kernel in
+// every field (the kernel accumulates fused Stats as if the score kernel
+// ran), and the fused Trace equals the replay oracle's in every field
+// (score, end points, CIGAR, clamp flag and trace-byte accounting), as
+// does the production Traceback* entry point's, with the CIGAR
+// independently re-scoring to the kernel score.
 func checkFusedExtension(t *testing.T, h, v []byte, hOff, vOff int, right bool, p Params, label string) {
 	t.Helper()
 	var ws Workspace
 	var want Result
-	var replay Trace
+	var replay, prod Trace
 	var fr Result
 	var ft Trace
 	var err error
 	if right {
 		want = ws.ExtendRight(h, v, hOff, vOff, p)
-		replay, err = ws.TracebackRight(h, v, hOff, vOff, p)
+		replay, err = ws.replayRight(h, v, hOff, vOff, p)
 		if err != nil {
+			t.Fatalf("%s: replay oracle: %v", label, err)
+		}
+		if prod, err = ws.TracebackRight(h, v, hOff, vOff, p); err != nil {
 			t.Fatalf("%s: TracebackRight: %v", label, err)
 		}
 		fr, ft, err = ws.FusedExtendRight(h, v, hOff, vOff, p)
 	} else {
 		want = ws.ExtendLeft(h, v, hOff, vOff, p)
-		replay, err = ws.TracebackLeft(h, v, hOff, vOff, p)
+		replay, err = ws.replayLeft(h, v, hOff, vOff, p)
 		if err != nil {
+			t.Fatalf("%s: replay oracle: %v", label, err)
+		}
+		if prod, err = ws.TracebackLeft(h, v, hOff, vOff, p); err != nil {
 			t.Fatalf("%s: TracebackLeft: %v", label, err)
 		}
 		fr, ft, err = ws.FusedExtendLeft(h, v, hOff, vOff, p)
@@ -51,19 +58,8 @@ func checkFusedExtension(t *testing.T, h, v []byte, hOff, vOff int, right bool, 
 	if fr != want {
 		t.Fatalf("%s: fused Result differs from score kernel:\nfused: %+v\nscore: %+v", label, fr, want)
 	}
-	if ft.Score != replay.Score || ft.EndH != replay.EndH || ft.EndV != replay.EndV {
-		t.Fatalf("%s: fused trace (%d,%d,%d) != replay (%d,%d,%d)", label,
-			ft.Score, ft.EndH, ft.EndV, replay.Score, replay.EndH, replay.EndV)
-	}
-	if ft.Cigar != replay.Cigar {
-		t.Fatalf("%s: fused cigar %q != replay cigar %q", label, ft.Cigar, replay.Cigar)
-	}
-	if ft.Clamped != replay.Clamped {
-		t.Fatalf("%s: fused clamp flag %v != replay %v", label, ft.Clamped, replay.Clamped)
-	}
-	if ft.TraceBytes != replay.TraceBytes {
-		t.Fatalf("%s: fused trace bytes %d != replay %d", label, ft.TraceBytes, replay.TraceBytes)
-	}
+	checkReplayOracle(t, label+"/fused", ft, replay)
+	checkReplayOracle(t, label+"/traceback", prod, replay)
 	// Independent oracle: the CIGAR re-scores to the kernel score over
 	// the exact aligned spans.
 	var fh, fv []byte
@@ -82,12 +78,12 @@ func checkFusedExtension(t *testing.T, h, v []byte, hOff, vOff int, right bool, 
 }
 
 // TestFusedDifferentialOracle is the three-way seeded-fuzz oracle:
-// score-only vs replay vs fused across every fused-eligible variant,
-// tier, size class and mutation rate, on both extension sides.
+// score-only vs the replay oracle vs fused across every fused-eligible
+// variant, tier, size class and mutation rate, on both extension sides.
 func TestFusedDifferentialOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	for name, base := range fusedVariants() {
-		for _, tier := range []Tier{TierWide, TierNarrow, TierAuto} {
+		for _, tier := range oracleTiers {
 			p := base
 			p.Tier = tier
 			for _, size := range []int{40, 200, 700} {

@@ -18,13 +18,18 @@ func benchKernelPair(n int, errRate float64) ([]byte, []byte) {
 	return h, v
 }
 
-func benchKernel(b *testing.B, algo Algo, deltaB int, tier Tier) {
-	b.Helper()
-	h, v := benchKernelPair(2000, 0.15)
+func benchParams(algo Algo, deltaB int, tier Tier) Params {
 	p := Params{Scorer: scoring.DNADefault, Gap: -1, X: 15, Algo: algo, DeltaB: deltaB, Tier: tier}
 	if algo == AlgoAffine {
 		p.GapOpen = -2
 	}
+	return p
+}
+
+func benchKernel(b *testing.B, algo Algo, deltaB int, tier Tier) {
+	b.Helper()
+	h, v := benchKernelPair(2000, 0.15)
+	p := benchParams(algo, deltaB, tier)
 	hv, vv := NewView(h), NewView(v)
 	var ws Workspace
 	ws.align(hv, vv, p) // warm buffers; the loop must be allocation-free
@@ -51,6 +56,33 @@ func BenchmarkKernelStandard3Wide(b *testing.B)     { benchKernel(b, AlgoStandar
 func BenchmarkKernelStandard3Narrow(b *testing.B)   { benchKernel(b, AlgoStandard3, 0, TierNarrow) }
 func BenchmarkKernelAffineWide(b *testing.B)        { benchKernel(b, AlgoAffine, 0, TierWide) }
 func BenchmarkKernelAffineNarrow(b *testing.B)      { benchKernel(b, AlgoAffine, 0, TierNarrow) }
+
+// benchTraceback measures the traced path: one TracebackExtension
+// (fused scoring sweep, direction recording, walk and CIGAR encoding)
+// per iteration on the same workload, reporting the score pass's cells
+// per second so the figure compares directly with benchKernel's.
+func benchTraceback(b *testing.B, algo Algo, deltaB int) {
+	b.Helper()
+	h, v := benchKernelPair(2000, 0.15)
+	p := benchParams(algo, deltaB, TierWide)
+	hv, vv := NewView(h), NewView(v)
+	var ws Workspace
+	cells := ws.align(hv, vv, p).Stats.Cells
+	if _, err := ws.TracebackExtension(hv, vv, p); err != nil { // warm buffers
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ws.TracebackExtension(hv, vv, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+}
+
+func BenchmarkTracebackRestricted2(b *testing.B) { benchTraceback(b, AlgoRestricted2, 256) }
+func BenchmarkTracebackAffine(b *testing.B)      { benchTraceback(b, AlgoAffine, 0) }
 
 // TestKernelLoopsAllocationFree pins the alloc regression: with a warm
 // workspace, no variant may allocate per extension on either tier.

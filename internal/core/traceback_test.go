@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/alignment"
@@ -24,8 +26,24 @@ func tbVariants() map[string]Params {
 	}
 }
 
+// oracleTiers are the score tiers the traceback oracles run every
+// variant under. Recording is always wide; the tier changes only the
+// score pass the trace must bit-match.
+var oracleTiers = []Tier{TierWide, TierNarrow, TierAuto}
+
+// checkReplayOracle pins one production Trace against the test-side
+// replay oracle (replay_oracle_test.go) in every field: score, end
+// points, CIGAR, trace-byte accounting and clamp flag.
+func checkReplayOracle(t *testing.T, label string, got, replay Trace) {
+	t.Helper()
+	if !reflect.DeepEqual(got, replay) {
+		t.Fatalf("%s: trace differs from the replay oracle:\ngot:    %+v\nreplay: %+v", label, got, replay)
+	}
+}
+
 // checkSeedTraceback runs the full differential oracle for one workload
-// and parameter set: the traceback replay must bit-match the score-only
+// and parameter set: each side's production Trace must equal the replay
+// oracle's in every field, the traceback must bit-match the score-only
 // kernel (score and end points), the emitted CIGAR must validate and
 // consume exactly the aligned spans, and re-scoring the CIGAR over the
 // aligned fragments (alignment.ScoreOf — an independent recomputation)
@@ -42,6 +60,7 @@ func checkSeedTraceback(t *testing.T, h, v []byte, s Seed, p Params, label strin
 	if err != nil {
 		t.Fatalf("%s: TracebackSeed: %v", label, err)
 	}
+	checkSidesAgainstReplay(t, &ws, h, v, s, p, label)
 	if got.Score != want.Score || got.LeftScore != want.LeftScore || got.RightScore != want.RightScore {
 		t.Fatalf("%s: traceback scores (%d,%d,%d) != kernel (%d,%d,%d)", label,
 			got.Score, got.LeftScore, got.RightScore, want.Score, want.LeftScore, want.RightScore)
@@ -79,27 +98,55 @@ func checkSeedTraceback(t *testing.T, h, v []byte, s Seed, p Params, label strin
 	}
 }
 
+// checkSidesAgainstReplay compares both production seed-extension
+// traces with the replay oracle's.
+func checkSidesAgainstReplay(t *testing.T, ws *Workspace, h, v []byte, s Seed, p Params, label string) {
+	t.Helper()
+	left, err := ws.TracebackLeft(h, v, s.H, s.V, p)
+	if err != nil {
+		t.Fatalf("%s: TracebackLeft: %v", label, err)
+	}
+	replay, err := ws.replayLeft(h, v, s.H, s.V, p)
+	if err != nil {
+		t.Fatalf("%s: replay oracle (left): %v", label, err)
+	}
+	checkReplayOracle(t, label+"/left", left, replay)
+	right, err := ws.TracebackRight(h, v, s.H+s.Len, s.V+s.Len, p)
+	if err != nil {
+		t.Fatalf("%s: TracebackRight: %v", label, err)
+	}
+	if replay, err = ws.replayRight(h, v, s.H+s.Len, s.V+s.Len, p); err != nil {
+		t.Fatalf("%s: replay oracle (right): %v", label, err)
+	}
+	checkReplayOracle(t, label+"/right", right, replay)
+}
+
 // TestTracebackDifferentialOracle is the seeded table-driven half of the
 // differential test layer: randomized seed-and-extend workloads across
-// every variant, mutation rate and size class.
+// every variant, score tier, mutation rate and size class.
 func TestTracebackDifferentialOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
-	for name, p := range tbVariants() {
-		for _, size := range []int{40, 200, 700} {
-			for _, rate := range []float64{0.02, 0.15, 0.35} {
-				for it := 0; it < 4; it++ {
-					h := randDNA(rng, size)
-					v := mutate(rng, h, rate)
-					k := 9
-					if k > len(v) {
-						k = len(v)
+	for name, base := range tbVariants() {
+		for _, tier := range oracleTiers {
+			p := base
+			p.Tier = tier
+			label := name + "/" + tier.String()
+			for _, size := range []int{40, 200, 700} {
+				for _, rate := range []float64{0.02, 0.15, 0.35} {
+					for it := 0; it < 4; it++ {
+						h := randDNA(rng, size)
+						v := mutate(rng, h, rate)
+						k := 9
+						if k > len(v) {
+							k = len(v)
+						}
+						// Plant an exact seed so extension anchors are valid.
+						sH := rng.Intn(len(h) - k + 1)
+						sV := rng.Intn(len(v) - k + 1)
+						copy(v[sV:sV+k], h[sH:sH+k])
+						s := Seed{H: sH, V: sV, Len: k}
+						checkSeedTraceback(t, h, v, s, p, label)
 					}
-					// Plant an exact seed so extension anchors are valid.
-					sH := rng.Intn(len(h) - k + 1)
-					sV := rng.Intn(len(v) - k + 1)
-					copy(v[sV:sV+k], h[sH:sH+k])
-					s := Seed{H: sH, V: sV, Len: k}
-					checkSeedTraceback(t, h, v, s, p, name)
 				}
 			}
 		}
@@ -107,42 +154,53 @@ func TestTracebackDifferentialOracle(t *testing.T) {
 }
 
 // TestTracebackExtensionMatchesAlign checks the single-extension entry
-// point on forward views, including zero-length and empty-sequence edges.
+// point on forward views, including zero-length and empty-sequence edges,
+// for every variant under every score tier.
 func TestTracebackExtensionMatchesAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for name, p := range tbVariants() {
-		for _, mn := range [][2]int{{0, 0}, {0, 17}, {17, 0}, {1, 1}, {33, 29}, {250, 260}} {
-			h := randDNA(rng, mn[0])
-			v := mutate(rng, h, 0.2)
-			for len(v) < mn[1] {
-				v = append(v, randDNA(rng, mn[1]-len(v))...)
-			}
-			v = v[:mn[1]]
-			var ws Workspace
-			want := Align(NewView(h), NewView(v), p)
-			tr, err := ws.TracebackExtension(NewView(h), NewView(v), p)
-			if err != nil {
-				t.Fatalf("%s %v: %v", name, mn, err)
-			}
-			if tr.Score != want.Score || tr.EndH != want.EndH || tr.EndV != want.EndV {
-				t.Fatalf("%s %v: traceback (%d,%d,%d) != kernel (%d,%d,%d)",
-					name, mn, tr.Score, tr.EndH, tr.EndV, want.Score, want.EndH, want.EndV)
-			}
-			st, err := tr.Cigar.Stats()
-			if err != nil {
-				t.Fatalf("%s %v: cigar %q: %v", name, mn, tr.Cigar, err)
-			}
-			if st.SpanH != tr.EndH || st.SpanV != tr.EndV {
-				t.Fatalf("%s %v: cigar %q spans %dx%d, extension consumed %dx%d",
-					name, mn, tr.Cigar, st.SpanH, st.SpanV, tr.EndH, tr.EndV)
-			}
-			recon, err := alignment.ScoreOf(h[:tr.EndH], v[:tr.EndV], tr.Cigar, p.Scorer, p.Gap, p.GapOpen)
-			if err != nil || recon != want.Score {
-				t.Fatalf("%s %v: reconstructed %d (err %v), kernel %d (cigar %q)",
-					name, mn, recon, err, want.Score, tr.Cigar)
-			}
-			if tr.Clamped != want.Stats.Clamped {
-				t.Fatalf("%s %v: replay clamped=%v, kernel clamped=%v", name, mn, tr.Clamped, want.Stats.Clamped)
+	for name, base := range tbVariants() {
+		for _, tier := range oracleTiers {
+			p := base
+			p.Tier = tier
+			label := name + "/" + tier.String()
+			for _, mn := range [][2]int{{0, 0}, {0, 17}, {17, 0}, {1, 1}, {33, 29}, {250, 260}} {
+				h := randDNA(rng, mn[0])
+				v := mutate(rng, h, 0.2)
+				for len(v) < mn[1] {
+					v = append(v, randDNA(rng, mn[1]-len(v))...)
+				}
+				v = v[:mn[1]]
+				var ws Workspace
+				want := Align(NewView(h), NewView(v), p)
+				tr, err := ws.TracebackExtension(NewView(h), NewView(v), p)
+				if err != nil {
+					t.Fatalf("%s %v: %v", label, mn, err)
+				}
+				replay, err := ws.replayTrace(NewView(h), NewView(v), p, true)
+				if err != nil {
+					t.Fatalf("%s %v: replay oracle: %v", label, mn, err)
+				}
+				checkReplayOracle(t, fmt.Sprintf("%s %v", label, mn), tr, replay)
+				if tr.Score != want.Score || tr.EndH != want.EndH || tr.EndV != want.EndV {
+					t.Fatalf("%s %v: traceback (%d,%d,%d) != kernel (%d,%d,%d)",
+						label, mn, tr.Score, tr.EndH, tr.EndV, want.Score, want.EndH, want.EndV)
+				}
+				st, err := tr.Cigar.Stats()
+				if err != nil {
+					t.Fatalf("%s %v: cigar %q: %v", label, mn, tr.Cigar, err)
+				}
+				if st.SpanH != tr.EndH || st.SpanV != tr.EndV {
+					t.Fatalf("%s %v: cigar %q spans %dx%d, extension consumed %dx%d",
+						label, mn, tr.Cigar, st.SpanH, st.SpanV, tr.EndH, tr.EndV)
+				}
+				recon, err := alignment.ScoreOf(h[:tr.EndH], v[:tr.EndV], tr.Cigar, p.Scorer, p.Gap, p.GapOpen)
+				if err != nil || recon != want.Score {
+					t.Fatalf("%s %v: reconstructed %d (err %v), kernel %d (cigar %q)",
+						label, mn, recon, err, want.Score, tr.Cigar)
+				}
+				if tr.Clamped != want.Stats.Clamped {
+					t.Fatalf("%s %v: traceback clamped=%v, kernel clamped=%v", label, mn, tr.Clamped, want.Stats.Clamped)
+				}
 			}
 		}
 	}

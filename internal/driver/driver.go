@@ -71,7 +71,7 @@ type Config struct {
 	// provides a bounded sharded LRU). A non-nil Cache implies
 	// DedupExtensions.
 	Cache ResultCache
-	// Traceback enables the two-pass traceback subsystem: every result
+	// Traceback enables the traceback subsystem: every result
 	// carries its CIGAR (ipukernel.AlignOut.Cigar) and the report exposes
 	// peak traceback memory. Normalized folds it into Kernel.Traceback,
 	// and it is part of the kernel fingerprint, so a shared result cache
@@ -80,23 +80,25 @@ type Config struct {
 	Traceback bool
 	// TraceMinScore gates the traceback cost behind a score cutoff:
 	// comparisons whose total score (left + seed + right) falls below it
-	// deliver score-only results, and only the keepers pay the recording
-	// replay — mirroring seed-and-extend pipelines that report only
+	// deliver score-only results, and only the keepers pay the deferred
+	// recording — mirroring seed-and-extend pipelines that report only
 	// above-threshold alignments. Zero or negative traces everything.
 	// Ignored without Traceback. Normalized folds it into
 	// Kernel.TraceMinScore, and it is part of KernelFingerprint while
 	// tracing, so a cache hit from a differently-gated run can never fan
 	// out a stale (or missing) CIGAR.
 	TraceMinScore int
-	// TraceMode selects how directions are recorded when a comparison is
-	// traced: core.TraceModeAuto fuses recording into the scoring pass
-	// when the extension's direction arena fits the per-thread budget
-	// (replaying otherwise), core.TraceModeReplay always replays (the
-	// PR 5 two-pass scheme), core.TraceModeFused forces fusing wherever
-	// the kernel is eligible. Fused and replayed recordings are
-	// bit-identical; the modes differ in SRAM charging and modeled time,
-	// and fold into KernelFingerprint while tracing. Normalized mirrors
-	// it with Kernel.TraceMode (non-auto wins).
+	// TraceMode selects when directions are recorded when a comparison
+	// is traced. The host always records with the fused kernel:
+	// core.TraceModeAuto records inline, during the scoring pass, when
+	// the extension's direction arena fits the per-thread budget and
+	// defers the recording to after the score pass otherwise;
+	// core.TraceModeReplay always defers; core.TraceModeFused records
+	// inline wherever the kernel is eligible. All modes produce
+	// bit-identical alignments; they differ in the SRAM arena the model
+	// charges and in modeled time, and fold into KernelFingerprint while
+	// tracing. Normalized mirrors it with Kernel.TraceMode (non-auto
+	// wins).
 	TraceMode core.TraceMode
 	// KernelTier selects the kernel score width (core.TierWide, the
 	// int32 default; core.TierNarrow, int16 with transparent saturation

@@ -190,7 +190,7 @@ func WithResultCache(entries int) Option {
 	}
 }
 
-// WithTraceback enables the two-pass traceback subsystem for every job
+// WithTraceback enables the traceback subsystem for every job
 // the engine serves: each streamed and reported result carries its CIGAR
 // (AlignOut.Cigar) and reports expose peak traceback memory. Composes
 // with dedup and the result cache — a cached hit fans the stored CIGAR
@@ -200,8 +200,8 @@ func WithTraceback(on bool) Option { return func(e *Engine) { e.cfg.Traceback = 
 
 // WithTraceMinScore gates the traceback cost behind a score cutoff for
 // every job the engine serves: comparisons whose total score falls below
-// min deliver score-only results (no CIGAR) and skip the recording
-// replay entirely, so hit-sparse workloads pay traceback only for the
+// min deliver score-only results (no CIGAR) and skip the deferred
+// recording entirely, so hit-sparse workloads pay traceback only for the
 // alignments they keep. Zero or negative traces everything; ignored
 // without WithTraceback. The cutoff is part of the kernel fingerprint,
 // so gated and ungated runs never share result-cache entries — a warm
@@ -212,15 +212,16 @@ func WithTraceMinScore(min int) Option {
 	return func(e *Engine) { e.cfg.TraceMinScore = min }
 }
 
-// WithTraceMode selects how traced comparisons record their directions:
-// core.TraceModeAuto (default) fuses recording into the scoring pass
-// whenever the extension's direction arena fits the per-thread budget
-// and replays otherwise; core.TraceModeReplay always uses the two-pass
-// replay; core.TraceModeFused forces single-pass recording wherever the
-// kernel is eligible. Fused and replayed recordings are bit-identical —
-// the modes differ only in SRAM charging and modeled time — but the mode
-// is still part of the kernel fingerprint, so caches never mix entries
-// whose trace accounting describes different execution shapes.
+// WithTraceMode selects when traced comparisons record their directions.
+// The host always records with the fused kernel: core.TraceModeAuto
+// (default) records inline, during the scoring pass, whenever the
+// extension's direction arena fits the per-thread budget and defers the
+// recording to after the score pass otherwise; core.TraceModeReplay
+// always defers; core.TraceModeFused records inline wherever the kernel
+// is eligible. All modes produce bit-identical alignments — they differ
+// only in the SRAM arena the model charges and in modeled time — but the
+// mode is still part of the kernel fingerprint, so caches never mix
+// entries whose trace accounting describes different execution shapes.
 func WithTraceMode(m core.TraceMode) Option {
 	return func(e *Engine) { e.cfg.TraceMode = m }
 }

@@ -200,9 +200,10 @@ type Config struct {
 	BusyWaitVariance bool
 	// DualIssue co-issues the integer and float pipelines (§4.1.4).
 	DualIssue bool
-	// Traceback enables the two-pass traceback: after the score pass each
-	// extension is replayed with direction recording (charged like a
-	// second DP sweep) and AlignOut carries the alignment's CIGAR plus
+	// Traceback enables traceback: each extension's directions are
+	// recorded by the fused kernel, either inline during the scoring pass
+	// or in a deferred replay after it (charged like a second DP sweep;
+	// see TraceMode), and AlignOut carries the alignment's CIGAR plus
 	// exact trace-memory accounting. Off, results are bit-identical to
 	// the score-only kernel. Trace memory stays bounded by the live
 	// window band (2 bits per banded cell for the linear variants, 4 for
@@ -225,18 +226,22 @@ type Config struct {
 	// Traceback is set; part of the kernel fingerprint (when tracing), so
 	// gated and ungated runs never share cache entries.
 	TraceMinScore int
-	// TraceMode selects how direction data is recorded when tracing:
-	// core.TraceModeAuto (fuse recording into the scoring pass for
-	// eligible extensions whose arena bound fits the per-thread fused
-	// budget), core.TraceModeReplay (always the PR 5 two-pass replay) or
-	// core.TraceModeFused (fuse every eligible extension). Fused
-	// recordings live on their thread for the whole scoring pass, so
-	// TileMemoryBytes charges one arena per thread for them; the replay
-	// path keeps the single serialized arena allowance. The score gate
-	// takes precedence: with TraceMinScore active every traced extension
-	// uses the deferred replay (a fused recording cannot be deferred —
-	// its buffers are clobbered by the thread's next extension). Part of
-	// the kernel fingerprint when tracing.
+	// TraceMode selects when direction data is recorded when tracing.
+	// The host always records with the fused kernel; the mode picks
+	// inline recording (during the scoring pass, the fused Result
+	// standing in for the score pass) or a deferred replay (a second
+	// fused run after the score pass), and with it the SRAM arena the
+	// model charges: core.TraceModeAuto records inline for eligible
+	// extensions whose arena bound fits the per-thread fused budget,
+	// core.TraceModeReplay always replays, core.TraceModeFused records
+	// every eligible extension inline. Inline recordings live on their
+	// thread for the whole scoring pass, so TileMemoryBytes charges one
+	// arena per thread for them; the replay path keeps the single
+	// serialized arena allowance. The score gate takes precedence: with
+	// TraceMinScore active every traced extension uses the deferred
+	// replay (an inline recording cannot be deferred — its buffers are
+	// clobbered by the thread's next extension). Part of the kernel
+	// fingerprint when tracing.
 	TraceMode core.TraceMode
 	// KernelTier selects the kernel score width: core.TierWide (the
 	// default int32 kernels), core.TierNarrow (attempt int16 with runtime
@@ -284,15 +289,15 @@ func (c Config) withDefaults(m platform.IPUModel) Config {
 // auto trace mode: an extension fuses only when its ExtensionTraceBytes
 // bound fits, so the concurrent recordings of a six-thread tile cost at
 // most 6×16 KiB — under a sixth of the 624 KiB tile — while small-band
-// extensions (the common X-Drop case) still skip the replay.
+// extensions (the common X-Drop case) still skip the second sweep.
 const fusedTraceBudget = 16 << 10
 
 // traceGated reports whether the score-threshold gate is active.
 func (c Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 
 // fusedExtension decides whether an extension with side lengths lh×lv
-// records directions during the scoring pass (fused single-pass) rather
-// than replaying. The decision is part of the SRAM model — partition's
+// records directions during the scoring pass (inline) rather than in a
+// deferred replay after it. The decision is part of the SRAM model — partition's
 // budget math calls it too — so it resolves the tier itself instead of
 // relying on the defaults pass.
 func (c Config) fusedExtension(lh, lv int) bool {

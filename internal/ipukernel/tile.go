@@ -356,7 +356,7 @@ func stealJitter(th, n int) int64 {
 // runUnit executes one unit's extension(s), records results and traces,
 // and returns the charged instruction cost. With Config.Traceback each
 // side either fuses direction recording into the scoring pass (one sweep)
-// or runs the recording replay after it (the two-pass scheme, charged
+// or re-runs the fused kernel after it (the deferred replay, charged
 // like another DP sweep); with the score gate active it only remembers
 // which thread scored the side, for the deferred replay phase. A
 // recording must bit-match the score pass or the tile fails loudly.

@@ -31,14 +31,16 @@ func TestServiceStatsAndMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two identical submissions from one tenant: the second must hit the
-	// affinity-routed shard's warm cache.
+	// affinity-routed shard's warm cache. The repeat is sent only once
+	// the first job has finished — its results reach the cache when it
+	// assembles, so an overlapping repeat would be planned cold.
 	for i := 0; i < 2; i++ {
 		resp := postDetached(t, ts, "alpha", payload)
 		if resp.StatusCode != 202 {
 			t.Fatalf("submit %d: %s", i, resp.Status)
 		}
+		waitForLive(t, svc, 0, 10*time.Second)
 	}
-	waitForLive(t, svc, 0, 10*time.Second)
 
 	var stats service.StatsReply
 	getJSON(t, ts, "/v1/stats", &stats)

@@ -84,20 +84,23 @@ const (
 	TierAuto = core.TierAuto
 )
 
-// TraceMode selects how traced comparisons record their direction codes.
+// TraceMode selects when traced comparisons record their direction
+// codes. The host always records with the fused kernel; the mode only
+// decides whether recording happens inline, during the scoring pass, or
+// deferred until after it, and which SRAM arena the model charges.
 type TraceMode = core.TraceMode
 
-// Trace modes. Fused and replayed recordings are bit-identical; the
-// modes differ in SRAM charging and modeled time.
+// Trace modes. All produce bit-identical alignments; the modes differ in
+// SRAM charging and modeled time.
 const (
-	// TraceModeAuto fuses recording into the scoring pass whenever the
-	// extension's direction arena fits the per-thread budget, and
-	// replays otherwise (the default).
+	// TraceModeAuto records inline whenever the extension's direction
+	// arena fits the per-thread budget, and defers the recording to the
+	// serialized replay arena otherwise (the default).
 	TraceModeAuto = core.TraceModeAuto
-	// TraceModeReplay always records through the two-pass replay.
+	// TraceModeReplay always defers recording until after the score
+	// pass, charged to the serialized replay arena.
 	TraceModeReplay = core.TraceModeReplay
-	// TraceModeFused forces single-pass recording wherever the kernel
-	// is eligible.
+	// TraceModeFused records inline wherever the kernel is eligible.
 	TraceModeFused = core.TraceModeFused
 )
 
@@ -149,7 +152,7 @@ func CigarScore(h, v []byte, c Cigar, p Params) (int, error) {
 	return alignment.ScoreOf(h, v, c, p.Scorer, p.Gap, p.GapOpen)
 }
 
-// TracebackSeed runs the two-pass seed extension: a SeedResult whose
+// TracebackSeed runs the traced seed extension: a SeedResult whose
 // scores and coordinates bit-match ExtendSeed (its Stats are zero except
 // Clamped — execution traces belong to the score pass), plus the full
 // alignment with its CIGAR. Fleet-scale callers enable
@@ -358,11 +361,10 @@ var (
 	// only for the alignments they keep. Traced/skipped counters
 	// surface in EngineStats and every report.
 	WithTraceMinScore = engine.WithTraceMinScore
-	// WithTraceMode selects the recording strategy for traced
-	// comparisons (TraceModeAuto, TraceModeReplay, TraceModeFused).
-	// Fused single-pass recording and the two-pass replay produce
-	// bit-identical alignments; they differ in SRAM charging and
-	// modeled time.
+	// WithTraceMode selects when traced comparisons record
+	// (TraceModeAuto, TraceModeReplay, TraceModeFused). Every mode
+	// records with the fused kernel and produces bit-identical
+	// alignments; they differ in SRAM charging and modeled time.
 	WithTraceMode = engine.WithTraceMode
 	// WithKernelTier selects the DP arithmetic width (TierWide,
 	// TierNarrow, TierAuto). Results are bit-identical across tiers;
