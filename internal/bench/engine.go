@@ -30,8 +30,11 @@ import (
 // resident vs spill-before-every-job, bit-identity verified in-bench);
 // v7 added the traceback_fastpath section (score-gated replay and fused
 // single-pass recording: Mcells/s at cutoff off/p50/p95 for both trace
-// modes on a small-band workload, bit-identity verified in-bench).
-const EngineBenchSchema = "xdropipu-bench-engine/v7"
+// modes on a small-band workload, bit-identity verified in-bench); v8
+// removed kernel_tiers with the int16 host kernels it measured (the
+// narrow width survives only as an SRAM-model charge, which has no host
+// throughput to report).
+const EngineBenchSchema = "xdropipu-bench-engine/v8"
 
 // VariantThroughput is one kernel variant's host-measured throughput.
 type VariantThroughput struct {
@@ -135,42 +138,6 @@ type TracebackFastpathThroughput struct {
 	Cutoffs []TraceFastpathCutoff `json:"cutoffs"`
 }
 
-// TierVariantThroughput is one kernel variant's int16-vs-int32
-// measurement on one workload regime.
-type TierVariantThroughput struct {
-	// Name is the core algorithm ("restricted2", "standard3", "affine").
-	Name string `json:"name"`
-	// WideMcellsPerSec and NarrowMcellsPerSec are computed DP cells over
-	// host wall time on the int32 tier vs the int16 tier.
-	WideMcellsPerSec   float64 `json:"wide_mcells_per_sec"`
-	NarrowMcellsPerSec float64 `json:"narrow_mcells_per_sec"`
-	// Speedup is NarrowMcellsPerSec / WideMcellsPerSec. Scalar int16 Go
-	// executes the same op count as int32, so this hovers near 1; the
-	// narrow tier's delivered win is the halved DP working set and the
-	// larger sequences the SRAM planner admits per tile.
-	Speedup float64 `json:"speedup"`
-	// NarrowExtensions and PromotedExtensions are the narrow run's tier
-	// counters: extensions completed in int16 vs saturated-and-re-run.
-	NarrowExtensions   int `json:"narrow_extensions"`
-	PromotedExtensions int `json:"promoted_extensions"`
-}
-
-// TierRegimeThroughput is one workload regime's per-variant tier
-// measurements.
-type TierRegimeThroughput struct {
-	// Regime names the workload shape ("short-band": 2kb reads, ~15%
-	// error, X=15; "wide-band": ~3kb reads, ~4% error, X=400).
-	Regime string `json:"regime"`
-	// Variants holds one narrow-vs-wide measurement per kernel variant.
-	Variants []TierVariantThroughput `json:"variants"`
-}
-
-// KernelTiersThroughput measures the int16 kernel tier against the int32
-// baseline across workload regimes.
-type KernelTiersThroughput struct {
-	Regimes []TierRegimeThroughput `json:"regimes"`
-}
-
 // SpineLayoutThroughput is one slab layout's measurement: the same
 // workload packed into Slabs slabs, run resident or with the whole spine
 // spilled to disk before every job.
@@ -244,8 +211,6 @@ type EngineBenchResult struct {
 	Faults     *FaultsThroughput    `json:"faults"`
 	// TracebackFastpath measures the score gate and fused recording.
 	TracebackFastpath *TracebackFastpathThroughput `json:"traceback_fastpath"`
-	// KernelTiers compares the int16 tier to the int32 baseline.
-	KernelTiers *KernelTiersThroughput `json:"kernel_tiers"`
 	// ArenaSpine measures slab-layout and spill costs on the arena spine.
 	ArenaSpine *ArenaSpineThroughput `json:"arena_spine"`
 }
@@ -381,12 +346,6 @@ func EngineBench(opt Options) (*EngineBenchResult, error) {
 	}
 	res.Faults = fl
 
-	kt, err := kernelTiersBench(opt)
-	if err != nil {
-		return nil, err
-	}
-	res.KernelTiers = kt
-
 	sp, err := arenaSpineBench(opt)
 	if err != nil {
 		return nil, err
@@ -489,87 +448,6 @@ func arenaSpineBench(opt Options) (*ArenaSpineThroughput, error) {
 				Faults:       st.Faults,
 			})
 		}
-	}
-	return out, nil
-}
-
-// kernelTiersBench times every kernel variant on the int32 and int16
-// tiers across two regimes — the short-band shape (noisy 2kb reads,
-// X=15) where antidiagonals are a handful of cells, and the wide-band
-// shape (cleaner ~3kb reads, X=400) where long runs keep the unrolled
-// lanes full. The int16 measurement runs TierAuto: with unit DNA match
-// scores the headroom proof holds for every extension, so the narrow
-// kernels execute throughout under narrow-only SRAM buffers — the
-// shippable configuration (TierNarrow's wide-fallback buffers would not
-// even fit tile SRAM for affine at these read lengths, which is itself
-// the admission story). Narrow-tier results are verified bit-identical
-// to the wide run before any number is reported.
-func kernelTiersBench(opt Options) (*KernelTiersThroughput, error) {
-	regimes := []struct {
-		name string
-		d    *workload.Dataset
-		x    int
-	}{
-		// Read lengths are capped in both regimes so the affine wide
-		// run — 7δ int32 cells across six threads — still fits tile
-		// SRAM at any bench scale; the int16 tier needs half that.
-		{"short-band", synth.Reads(synth.ReadsSpec{
-			Name: "tiers-short", GenomeLen: opt.n(100_000), Coverage: 10,
-			MeanReadLen: 2000, MinReadLen: 700, MaxReadLen: 3000,
-			Errors:  synth.MutationProfile{Sub: 0.05, Ins: 0.05, Del: 0.05},
-			SeedLen: 17, MinOverlap: 500, Seed: opt.Seed + 31,
-		}), 15},
-		{"wide-band", synth.Reads(synth.ReadsSpec{
-			Name: "tiers-wide", GenomeLen: opt.n(100_000), Coverage: 10,
-			MeanReadLen: 2800, MinReadLen: 1200, MaxReadLen: 3200,
-			Errors:  synth.MutationProfile{Sub: 0.013, Ins: 0.013, Del: 0.014},
-			SeedLen: 17, MinOverlap: 1000, Seed: opt.Seed + 37,
-		}), 400},
-	}
-	out := &KernelTiersThroughput{}
-	for _, reg := range regimes {
-		rt := TierRegimeThroughput{Regime: reg.name}
-		for _, algo := range []core.Algo{core.AlgoRestricted2, core.AlgoStandard3, core.AlgoAffine} {
-			run := func(tier core.Tier) (*driver.Report, float64, error) {
-				cfg := opt.driverConfig(reg.x, 256, 1)
-				cfg.Kernel.Params.Algo = algo
-				if algo == core.AlgoAffine {
-					cfg.Kernel.Params.GapOpen = -2
-				}
-				cfg.KernelTier = tier
-				start := time.Now()
-				rep, err := driver.Run(reg.d, cfg)
-				return rep, time.Since(start).Seconds(), err
-			}
-			wide, elWide, err := run(core.TierWide)
-			if err != nil {
-				return nil, fmt.Errorf("tiers bench (%s/%s wide): %w", reg.name, algo, err)
-			}
-			narrow, elNarrow, err := run(core.TierAuto)
-			if err != nil {
-				return nil, fmt.Errorf("tiers bench (%s/%s narrow): %w", reg.name, algo, err)
-			}
-			for k := range narrow.Results {
-				if narrow.Results[k] != wide.Results[k] {
-					return nil, fmt.Errorf("tiers bench (%s/%s): result %d diverged between tiers", reg.name, algo, k)
-				}
-			}
-			if narrow.NarrowExtensions == 0 {
-				return nil, fmt.Errorf("tiers bench (%s/%s): auto tier executed no narrow kernels", reg.name, algo)
-			}
-			vt := TierVariantThroughput{
-				Name:               algo.String(),
-				WideMcellsPerSec:   float64(wide.Cells) / 1e6 / elWide,
-				NarrowMcellsPerSec: float64(narrow.Cells) / 1e6 / elNarrow,
-				NarrowExtensions:   narrow.NarrowExtensions,
-				PromotedExtensions: narrow.PromotedExtensions,
-			}
-			if vt.WideMcellsPerSec > 0 {
-				vt.Speedup = vt.NarrowMcellsPerSec / vt.WideMcellsPerSec
-			}
-			rt.Variants = append(rt.Variants, vt)
-		}
-		out.Regimes = append(out.Regimes, rt)
 	}
 	return out, nil
 }
@@ -873,9 +751,9 @@ func VerifyEngineJSON(data []byte) error {
 		return fmt.Errorf("bench: engine JSON schema %q, want %q (regenerate with benchtables -json)", res.Schema, EngineBenchSchema)
 	}
 	if len(res.Variants) == 0 || len(res.Engine) == 0 || res.Dedup == nil ||
-		res.Traceback == nil || res.Faults == nil || res.KernelTiers == nil ||
+		res.Traceback == nil || res.Faults == nil ||
 		res.ArenaSpine == nil || res.TracebackFastpath == nil {
-		return fmt.Errorf("bench: engine JSON is missing sections (variants/engine/dedup/traceback/traceback_fastpath/faults/kernel_tiers/arena_spine)")
+		return fmt.Errorf("bench: engine JSON is missing sections (variants/engine/dedup/traceback/traceback_fastpath/faults/arena_spine)")
 	}
 	if len(res.TracebackFastpath.Cutoffs) != 3 {
 		return fmt.Errorf("bench: traceback_fastpath has %d cutoff rows, want 3 (off/p50/p95)", len(res.TracebackFastpath.Cutoffs))
@@ -952,18 +830,6 @@ func EngineExp(opt Options) error {
 		}
 		ft.AddNote("every job verified bit-identical to the fault-free run; retries ride WithRetry(8, 0)")
 		ft.Render(opt.W)
-	}
-	if kt := res.KernelTiers; kt != nil {
-		tt := metrics.NewTable("Engine — int16 kernel tier vs int32 baseline (host-measured)",
-			"regime", "variant", "wide Mcells/s", "narrow Mcells/s", "speedup", "narrow ext", "promoted")
-		for _, reg := range kt.Regimes {
-			for _, v := range reg.Variants {
-				tt.AddRow(reg.Regime, v.Name, v.WideMcellsPerSec, v.NarrowMcellsPerSec,
-					metrics.Ratio(v.Speedup), v.NarrowExtensions, v.PromotedExtensions)
-			}
-		}
-		tt.AddNote("results verified bit-identical across tiers; the narrow win is the halved DP working set, not scalar throughput")
-		tt.Render(opt.W)
 	}
 	if sp := res.ArenaSpine; sp != nil {
 		st := metrics.NewTable("Engine — arena spine across slab layouts (host-measured)",

@@ -40,7 +40,7 @@ func (w *Workspace) Affine(h, v View, p Params) Result {
 
 	res := Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
-		WorkBytes:        7 * delta * scoreBytes,
+		WorkBytes:        7 * delta * ScoreBytes,
 	}}
 
 	tab := p.Scorer.Table()

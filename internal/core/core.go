@@ -17,6 +17,13 @@
 // All variants share identical recurrence and pruning semantics: a cell
 // whose score falls below T−X, where T is the best score seen on previous
 // antidiagonals, is removed from the search space (set to −∞).
+//
+// Each recurrence has exactly one int32 scoring kernel (dp32.go), one
+// fused kernel that records traceback directions during the same sweep
+// (fused.go), and the Reference oracle. Score width is not a kernel
+// choice: the ipukernel SRAM model may charge a narrower element size
+// where it can prove the scores fit, but the host always computes on
+// int32 lanes.
 package core
 
 import (
@@ -113,10 +120,6 @@ type Params struct {
 	GapOpen int
 	// Algo selects the implementation used by Align.
 	Algo Algo
-	// Tier selects the kernel score width (see dp16.go). The zero value
-	// is TierWide; TierNarrow/TierAuto opt in to the int16 kernels with
-	// transparent overflow promotion back to int32.
-	Tier Tier
 }
 
 // Validate reports a descriptive error for out-of-range parameters.
@@ -162,19 +165,12 @@ type Stats struct {
 	// TheoreticalCells is m·n, the denominator-free GCUPS numerator
 	// (§5.1 defines GCUPS over the full matrix size).
 	TheoreticalCells int64
-	// WorkBytes is the modeled device memory footprint of the variant's
-	// working buffers at the tier's score width: 4-byte scores on the
-	// wide tier (3δ·4 for Standard3, 2δb·4 for Restricted2; §3, Fig. 3),
-	// 2-byte scores on the narrow tier.
+	// WorkBytes is the device memory footprint of the variant's int32
+	// working buffers (3δ·4 for Standard3, 2δb·4 for Restricted2; §3,
+	// Fig. 3) — exactly what the kernel allocated. The ipukernel SRAM
+	// model applies its own score-width charge per tile on top of the
+	// same window sizes.
 	WorkBytes int
-	// Narrow reports that the extension completed on the int16 kernel
-	// tier. Promoted reports that a narrow attempt saturated and the
-	// extension transparently re-ran on the int32 tier (its Stats are
-	// those of the wide re-run). Both false means a plain wide run.
-	Narrow bool
-	// Promoted is set with Narrow == false: the wide re-run produced the
-	// result. See dp16.go for the saturation guard.
-	Promoted bool
 }
 
 func (s *Stats) observe(computedWidth, liveWidth int) {
@@ -203,10 +199,6 @@ func (s *Stats) add(o Stats) {
 	if o.WorkBytes > s.WorkBytes {
 		s.WorkBytes = o.WorkBytes
 	}
-	// A merged trace is "narrow" only if every constituent ran narrow,
-	// and "promoted" if any constituent promoted.
-	s.Narrow = s.Narrow && o.Narrow
-	s.Promoted = s.Promoted || o.Promoted
 }
 
 // Result is the outcome of one semi-global X-Drop extension.
@@ -220,8 +212,7 @@ type Result struct {
 	Stats Stats
 }
 
-// Align runs the extension selected by p.Algo (and p.Tier) on views h
-// and v.
+// Align runs the extension selected by p.Algo on views h and v.
 func Align(h, v View, p Params) Result {
 	var w Workspace
 	return w.align(h, v, p)

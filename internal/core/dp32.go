@@ -17,9 +17,10 @@ import "math"
 // penalties cannot wrap.
 const negInf32 int32 = math.MinInt32 / 4
 
-// scoreBytes is the working-buffer element size; Stats.WorkBytes is
-// computed from it so the modeled footprint matches the real buffers.
-const scoreBytes = 4
+// ScoreBytes is the working-buffer element size; Stats.WorkBytes and
+// the ipukernel SRAM model are computed from it so the modeled
+// footprint matches the real buffers.
+const ScoreBytes = 4
 
 // bufPad is the number of −∞ guard cells kept on each side of a stored
 // antidiagonal window. A row d reads its predecessors at most one (d−1)
@@ -92,10 +93,6 @@ func (v View) vdir() (step, dd, org int) {
 type Workspace struct {
 	b0, b1, b2     []int32
 	e0, e1, f0, f1 []int32
-	// Narrow-tier (int16) buffers; allocated only when a narrow kernel
-	// actually runs, so wide-only workloads pay nothing.
-	nb0, nb1, nb2      []int16
-	ne0, ne1, nf0, nf1 []int16
 	// tb is the traceback recording's state (window index, packed
 	// direction codes); see traceback.go. Untouched by the score pass.
 	tb tracer

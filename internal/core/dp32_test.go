@@ -177,8 +177,8 @@ func TestWorkBytesMatchesBufferFootprint(t *testing.T) {
 
 	w.Restricted2(NewView(h), NewView(v), p)
 	elem := int(unsafe.Sizeof(w.b1[0]))
-	if elem != scoreBytes {
-		t.Fatalf("buffer element is %d B, WorkBytes math assumes %d B", elem, scoreBytes)
+	if elem != ScoreBytes {
+		t.Fatalf("buffer element is %d B, WorkBytes math assumes %d B", elem, ScoreBytes)
 	}
 
 	// The stored buffers carry 2·bufPad guard cells beyond the modeled

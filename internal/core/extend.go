@@ -55,21 +55,6 @@ func (w *Workspace) ExtendLeft(h, v []byte, hOff, vOff int, p Params) Result {
 }
 
 func (w *Workspace) align(hv, vv View, p Params) Result {
-	if p.Algo != AlgoReference && useNarrow(hv.Len(), vv.Len(), p) {
-		if r, ok := w.alignNarrow(hv, vv, p); ok {
-			return r
-		}
-		// The narrow attempt saturated int16: discard it wholesale and
-		// transparently re-run on the wide tier (the promotion contract
-		// of dp16.go). The result and stats are the wide run's.
-		r := w.alignWide(hv, vv, p)
-		r.Stats.Promoted = true
-		return r
-	}
-	return w.alignWide(hv, vv, p)
-}
-
-func (w *Workspace) alignWide(hv, vv View, p Params) Result {
 	switch p.Algo {
 	case AlgoStandard3:
 		return w.Standard3(hv, vv, p)
@@ -79,19 +64,6 @@ func (w *Workspace) alignWide(hv, vv View, p Params) Result {
 		return w.Affine(hv, vv, p)
 	default:
 		return w.Restricted2(hv, vv, p)
-	}
-}
-
-// alignNarrow dispatches to the int16 kernels; ok is false when the
-// saturation guard fired and the caller must promote to the wide tier.
-func (w *Workspace) alignNarrow(hv, vv View, p Params) (Result, bool) {
-	switch p.Algo {
-	case AlgoStandard3:
-		return w.standard3Narrow(hv, vv, p)
-	case AlgoAffine:
-		return w.affineNarrow(hv, vv, p)
-	default:
-		return w.restricted2Narrow(hv, vv, p)
 	}
 }
 

@@ -10,15 +10,13 @@ package core
 // including the trace counters; the recorded directions (and therefore
 // the CIGAR) are pinned against the tests' cell-by-cell replay oracle.
 //
-// Inline eligibility (FusedEligible): only where the fused Result can
-// stand in for the score pass — the int32 wide kernels. A narrow (int16)
-// extension is scored by its own kernel, since fusing it would change
-// the batch tier counters, and AlgoReference is scored by its
-// full-matrix oracle; both still record with the fused kernel, after
-// their score pass. The memory trade is explicit: an inline recording
-// lives on its thread for the whole scoring pass, so the SRAM model
-// charges one direction arena per thread (ipukernel.TileMemoryBytes)
-// instead of the single serialized replay arena.
+// Inline eligibility (FusedEligible): every recurrence with a fused
+// kernel — the linear and affine int32 kernels. AlgoReference is scored
+// by its full-matrix oracle and records with the fused kernel after its
+// score pass. The memory trade is explicit: an inline recording lives on
+// its thread for the whole scoring pass, so the SRAM model charges one
+// direction arena per thread (ipukernel.TileMemoryBytes) instead of the
+// single serialized replay arena.
 
 // TraceMode selects when traceback direction data is recorded. The host
 // always records with the fused kernel; the mode only decides whether a
@@ -52,16 +50,11 @@ func (m TraceMode) String() string {
 	}
 }
 
-// FusedEligible reports whether an m×n extension under p can record
-// inline, the fused Result standing in for its score pass: the wide
-// (int32) linear and affine kernels only. Narrow-tier extensions and the
-// Reference oracle are scored by their own kernels and record afterwards.
-func FusedEligible(m, n int, p Params) bool {
-	if p.Algo == AlgoReference {
-		return false
-	}
-	return !useNarrow(m, n, p)
-}
+// FusedEligible reports whether an extension under p can record
+// inline, the fused Result standing in for its score pass: every variant
+// but the Reference oracle, which is scored by its own full-matrix
+// kernel and records afterwards.
+func FusedEligible(p Params) bool { return p.Algo != AlgoReference }
 
 // fusedExtend dispatches the fused kernels, leaving the walk-order ops
 // in w.tb.ops.
@@ -107,9 +100,9 @@ func (w *Workspace) fusedLinear(h, v View, p Params) (Result, Trace, error) {
 
 	res := Result{Stats: Stats{TheoreticalCells: int64(m) * int64(n)}}
 	if p.Algo == AlgoStandard3 {
-		res.Stats.WorkBytes = 3 * delta * scoreBytes
+		res.Stats.WorkBytes = 3 * delta * ScoreBytes
 	} else {
-		res.Stats.WorkBytes = 2 * capacity * scoreBytes
+		res.Stats.WorkBytes = 2 * capacity * ScoreBytes
 	}
 
 	tab := p.Scorer.Table()
@@ -376,7 +369,7 @@ func (w *Workspace) fusedAffine(h, v View, p Params) (Result, Trace, error) {
 
 	res := Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
-		WorkBytes:        7 * delta * scoreBytes,
+		WorkBytes:        7 * delta * ScoreBytes,
 	}}
 
 	tab := p.Scorer.Table()

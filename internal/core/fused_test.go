@@ -79,37 +79,24 @@ func checkFusedExtension(t *testing.T, h, v []byte, hOff, vOff int, right bool, 
 
 // TestFusedDifferentialOracle is the three-way seeded-fuzz oracle:
 // score-only vs the replay oracle vs fused across every fused-eligible
-// variant, tier, size class and mutation rate, on both extension sides.
+// variant, size class and mutation rate, on both extension sides.
 func TestFusedDifferentialOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
-	for name, base := range fusedVariants() {
-		for _, tier := range oracleTiers {
-			p := base
-			p.Tier = tier
-			for _, size := range []int{40, 200, 700} {
-				for _, rate := range []float64{0.03, 0.25} {
-					for it := 0; it < 3; it++ {
-						h := randDNA(rng, size)
-						v := mutate(rng, h, rate)
-						k := 9
-						if k > len(v) {
-							k = len(v)
-						}
-						sH := rng.Intn(len(h) - k + 1)
-						sV := rng.Intn(len(v) - k + 1)
-						copy(v[sV:sV+k], h[sH:sH+k])
-						label := name + "/" + tier.String()
-						// The kernel only fuses eligible extensions;
-						// mirror that gate here so the Result equality
-						// check always compares like against like.
-						if FusedEligible(sH, sV, p) {
-							checkFusedExtension(t, h, v, sH, sV, false, p, label+"/left")
-						}
-						rh, rv := len(h)-sH-k, len(v)-sV-k
-						if FusedEligible(rh, rv, p) {
-							checkFusedExtension(t, h, v, sH+k, sV+k, true, p, label+"/right")
-						}
+	for name, p := range fusedVariants() {
+		for _, size := range []int{40, 200, 700} {
+			for _, rate := range []float64{0.03, 0.25} {
+				for it := 0; it < 9; it++ {
+					h := randDNA(rng, size)
+					v := mutate(rng, h, rate)
+					k := 9
+					if k > len(v) {
+						k = len(v)
 					}
+					sH := rng.Intn(len(h) - k + 1)
+					sV := rng.Intn(len(v) - k + 1)
+					copy(v[sV:sV+k], h[sH:sH+k])
+					checkFusedExtension(t, h, v, sH, sV, false, p, name+"/left")
+					checkFusedExtension(t, h, v, sH+k, sV+k, true, p, name+"/right")
 				}
 			}
 		}
@@ -117,28 +104,12 @@ func TestFusedDifferentialOracle(t *testing.T) {
 }
 
 // TestFusedEligibility pins the gate: the reference oracle never fuses,
-// narrow-tier extensions never fuse (fusing them would change the batch
-// tier counters), and wide extensions of every production variant do.
+// and every production variant does.
 func TestFusedEligibility(t *testing.T) {
-	dna := tbVariants()["restricted2-db256"]
-	if FusedEligible(300, 300, dna) != true {
-		t.Fatal("wide restricted2 extension not fused-eligible")
-	}
-	ref := tbVariants()["reference"]
-	if FusedEligible(300, 300, ref) {
-		t.Fatal("reference oracle fused-eligible")
-	}
-	narrow := dna
-	narrow.Tier = TierNarrow
-	if FusedEligible(100, 100, narrow) {
-		t.Fatal("narrow-tier extension fused-eligible; fusing would change tier counters")
-	}
-	// Past the int16 headroom the auto tier falls back to wide lanes,
-	// and eligibility returns with it.
-	wideAgain := dna
-	wideAgain.Tier = TierAuto
-	if !FusedEligible(satGuard16+1, satGuard16+1, wideAgain) {
-		t.Fatal("auto tier past the narrow headroom should be fused-eligible")
+	for name, p := range tbVariants() {
+		if got, want := FusedEligible(p), p.Algo != AlgoReference; got != want {
+			t.Errorf("%s: FusedEligible = %v, want %v", name, got, want)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func (w *Workspace) Restricted2(h, v View, p Params) Result {
 
 	res := Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
-		WorkBytes:        2 * capacity * scoreBytes,
+		WorkBytes:        2 * capacity * ScoreBytes,
 	}}
 
 	tab := p.Scorer.Table()

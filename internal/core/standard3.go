@@ -27,7 +27,7 @@ func (w *Workspace) Standard3(h, v View, p Params) Result {
 
 	res := Result{Stats: Stats{
 		TheoreticalCells: int64(m) * int64(n),
-		WorkBytes:        3 * delta * scoreBytes,
+		WorkBytes:        3 * delta * ScoreBytes,
 	}}
 
 	tab := p.Scorer.Table()

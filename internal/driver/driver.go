@@ -100,15 +100,6 @@ type Config struct {
 	// tracing. Normalized mirrors it with Kernel.TraceMode (non-auto
 	// wins).
 	TraceMode core.TraceMode
-	// KernelTier selects the kernel score width (core.TierWide, the
-	// int32 default; core.TierNarrow, int16 with transparent saturation
-	// promotion; core.TierAuto, int16 only under the headroom proof).
-	// Normalized folds it with Kernel.KernelTier — whichever knob is
-	// non-wide wins — and the choice is part of KernelFingerprint, so a
-	// shared result cache never mixes tiers even though completed narrow
-	// results are bit-identical to wide ones: the tiers differ in trace
-	// accounting (Stats.WorkBytes), not alignments.
-	KernelTier core.Tier
 	// Faults, when non-nil, installs deterministic fault injection at the
 	// ExecBatch boundary: transient and permanent execution failures plus
 	// straggler latency, decided per (batch, attempt) from the plan's
@@ -189,12 +180,6 @@ func KernelFingerprint(cfg ipukernel.Config, model platform.IPUModel) uint64 {
 		flags |= 8
 	}
 	put(flags)
-	// The resolved kernel tier: completed narrow alignments are
-	// bit-identical to wide ones, but the tiers' trace accounting
-	// (Stats.WorkBytes, promotion counters) differs, so cached entries
-	// must not cross tiers. Resolved (not raw) so the two equivalent
-	// knobs — Config.KernelTier and Params.Tier — never alias apart.
-	put(int64(cfg.Tier()))
 	if cfg.Traceback {
 		// The gate cutoff decides which results carry CIGARs and the
 		// mode decides what the trace accounting describes — entries
@@ -249,8 +234,6 @@ type Plan struct {
 	peakTraceBytes        int
 	traceBytes            int64
 	tracedExt, skippedExt int
-	// kernel-tier accounting
-	narrowExt, wideExt, promotedExt int
 	// degraded completion accounting
 	partialFailures int
 }
@@ -332,12 +315,6 @@ type Report struct {
 	// forever. Zero on any non-degraded run; Results entries with Failed
 	// set carry no scores or coordinates.
 	PartialFailures int
-	// Kernel-tier accounting over executed extensions (cache-served and
-	// deduped comparisons contribute nothing — no kernel ran for them).
-	// NarrowExtensions completed on the int16 tier, PromotedExtensions
-	// saturated int16 and transparently re-ran wide, WideExtensions ran
-	// int32 outright; the three are disjoint.
-	NarrowExtensions, WideExtensions, PromotedExtensions int
 }
 
 // GCUPS returns the paper's metric over the chosen time base.
@@ -382,12 +359,6 @@ func (c Config) Normalized() Config {
 		c.Kernel.TraceMode = c.TraceMode
 	}
 	c.TraceMode = c.Kernel.TraceMode
-	// Same for the kernel tier: non-wide wins, mirrored on both knobs.
-	if c.KernelTier == core.TierWide {
-		c.KernelTier = c.Kernel.Tier()
-	}
-	c.Kernel.KernelTier = c.KernelTier
-	c.Kernel.Params.Tier = c.KernelTier
 	return c
 }
 
@@ -862,9 +833,6 @@ func AssemblePlan(bp *BatchPlan, outs []*ipukernel.BatchResult) (*Plan, error) {
 		p.traceBytes += res.TraceBytes
 		p.tracedExt += res.TracedExtensions
 		p.skippedExt += res.TraceSkippedExtensions
-		p.narrowExt += res.NarrowExtensions
-		p.wideExt += res.WideExtensions
-		p.promotedExt += res.PromotedExtensions
 		if res.PeakTraceBytes > p.peakTraceBytes {
 			p.peakTraceBytes = res.PeakTraceBytes
 		}
@@ -1001,9 +969,6 @@ func (p *Plan) Schedule(ipus int) *Report {
 		TracedExtensions:        p.tracedExt,
 		TraceSkippedExtensions:  p.skippedExt,
 		PartialFailures:         p.partialFailures,
-		NarrowExtensions:        p.narrowExt,
-		WideExtensions:          p.wideExt,
-		PromotedExtensions:      p.promotedExt,
 	}
 	overhead := p.cfg.BatchOverheadSeconds
 	if overhead <= 0 {

@@ -6,6 +6,8 @@
 package driver
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -157,6 +159,39 @@ func TestArenaSpineSpillExecution(t *testing.T) {
 	}
 	if err := arena.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArenaSpineCorruptSpillFailsJob: a spill file flipped on disk at
+// the same length must fail the job at its batch pin — never run the
+// kernels on the corrupted bytes and report them as a result.
+func TestArenaSpineCorruptSpillFailsJob(t *testing.T) {
+	ds := goldenDatasets(t)
+	tc := goldenConfigs()["reads-partition"]
+	rd, arena := repackSpine(t, ds[tc.dataset], 1<<13)
+	dir := t.TempDir()
+	arena.EnableSpill(dir)
+	arena.Seal()
+	if _, err := arena.Spill(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("no spill files written (%v)", err)
+	}
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x01
+		if err := os.WriteFile(path, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep, err := Run(rd, tc.cfg); err == nil {
+		t.Fatalf("run over corrupted spill files succeeded with %d results", len(rep.Results))
 	}
 }
 

@@ -3,30 +3,24 @@ package driver
 import (
 	"testing"
 
-	"github.com/sram-align/xdropipu/internal/core"
 	"github.com/sram-align/xdropipu/internal/ipukernel"
-	"github.com/sram-align/xdropipu/internal/platform"
-	"github.com/sram-align/xdropipu/internal/scoring"
-	"github.com/sram-align/xdropipu/internal/workload"
 )
 
-// TestKernelTierComposition is the tier half of the PR contract: with
-// dedup, a shared result cache and traceback all live, every kernel tier
-// must return bit-identical per-comparison alignments (scores,
-// coordinates, traces and CIGARs — AlignOut is ==-comparable), the tier
-// counters must partition the executed extensions, and the shared cache
-// must never serve one tier's entries to another because the tier is
-// folded into KernelFingerprint.
+// TestKernelTierComposition is the tier half of the composition
+// contract: with dedup, a result cache and traceback all live, a cold
+// TierAuto run must return per-comparison alignments identical to a cold
+// TierWide run (scores, coordinates, traces and CIGARs — AlignOut is
+// ==-comparable) while executing the same work, and its narrower
+// modeled DP buffers must show up as a smaller SRAM peak.
 func TestKernelTierComposition(t *testing.T) {
 	d := duplicated(goldenDatasets(t)["uniform"], 2)
-	cache := newMapCache() // one cache shared across every tier
 	base := goldenConfigs()["uniform-nopart"].cfg
 	base.Traceback = true
 
-	run := func(tier core.Tier) *Report {
+	run := func(tier ipukernel.Tier) *Report {
 		cfg := base
-		cfg.Cache = cache // implies dedup
-		cfg.KernelTier = tier
+		cfg.Cache = newMapCache() // cold per tier, so both tiers execute
+		cfg.Kernel.KernelTier = tier
 		rep, err := Run(d, cfg)
 		if err != nil {
 			t.Fatalf("tier %v: %v", tier, err)
@@ -34,119 +28,48 @@ func TestKernelTierComposition(t *testing.T) {
 		return rep
 	}
 
-	wide := run(core.TierWide)
-	for _, tier := range []core.Tier{core.TierNarrow, core.TierAuto} {
-		rep := run(tier)
-		sameResults(t, tier.String(), rep.Results, wide.Results)
-		if rep.CacheHits != 0 {
-			t.Errorf("tier %v: %d cache hits from a differently-tiered warm cache",
-				tier, rep.CacheHits)
-		}
-		if rep.NarrowExtensions == 0 {
-			t.Errorf("tier %v: DNA unit scores are narrow-eligible, yet no narrow extensions ran", tier)
-		}
-		if rep.PromotedExtensions != 0 {
-			t.Errorf("tier %v: %d promotions on a workload that cannot saturate int16",
-				tier, rep.PromotedExtensions)
-		}
-		// Two extensions (left, right) per executed unique comparison;
-		// cache-served and deduped rows contribute nothing.
-		sum := rep.NarrowExtensions + rep.WideExtensions + rep.PromotedExtensions
-		if want := 2 * rep.UniqueExtensions; sum != want {
-			t.Errorf("tier %v: counters sum to %d, want 2·unique = %d", tier, sum, want)
-		}
+	wide := run(ipukernel.TierWide)
+	auto := run(ipukernel.TierAuto)
+	sameResults(t, "auto", auto.Results, wide.Results)
+	if auto.UniqueExtensions != wide.UniqueExtensions || auto.CacheMisses != wide.CacheMisses ||
+		auto.TracedExtensions != wide.TracedExtensions {
+		t.Errorf("tiers executed different work: auto unique/misses/traced %d/%d/%d, wide %d/%d/%d",
+			auto.UniqueExtensions, auto.CacheMisses, auto.TracedExtensions,
+			wide.UniqueExtensions, wide.CacheMisses, wide.TracedExtensions)
 	}
-	// A same-tier rerun over the warm cache must be all hits — the tier
-	// byte separates entries without breaking same-configuration reuse.
-	rewarm := run(core.TierAuto)
-	sameResults(t, "auto-warm", rewarm.Results, wide.Results)
-	if rewarm.CacheMisses != 0 || rewarm.CacheHits != rewarm.UniqueExtensions {
-		t.Errorf("warm auto rerun: hits %d misses %d (unique %d)",
-			rewarm.CacheHits, rewarm.CacheMisses, rewarm.UniqueExtensions)
-	}
-	if wide.WideExtensions == 0 || wide.NarrowExtensions != 0 {
-		t.Errorf("wide tier ran narrow kernels: %+v", wide)
+	if auto.MaxSRAM >= wide.MaxSRAM {
+		t.Errorf("auto tier modeled %d B peak SRAM, wide %d B: the int16 charge did not apply",
+			auto.MaxSRAM, wide.MaxSRAM)
 	}
 }
 
-// TestKernelFingerprintSeparatesTiers: the resolved tier is part of the
-// kernel fingerprint — distinct tiers never alias — while the two ways
-// of spelling a tier (driver knob vs core params) resolve to the same
-// fingerprint.
-func TestKernelFingerprintSeparatesTiers(t *testing.T) {
-	base := goldenConfigs()["uniform-nopart"].cfg.Normalized()
-	seen := map[uint64]core.Tier{}
-	for _, tier := range []core.Tier{core.TierWide, core.TierNarrow, core.TierAuto} {
-		cfg := base
-		cfg.KernelTier = tier
-		cfg = cfg.Normalized()
-		fp := KernelFingerprint(cfg.Kernel, cfg.Model)
-		if prev, dup := seen[fp]; dup {
-			t.Fatalf("tiers %v and %v share fingerprint %x", prev, tier, fp)
-		}
-		seen[fp] = tier
+// TestKernelFingerprintIgnoresTier: the tier only changes modeled SRAM,
+// never an AlignOut, so it stays out of KernelFingerprint — a TierAuto
+// job over a cache filled by a TierWide job is served entirely from the
+// cache, with identical Results.
+func TestKernelFingerprintIgnoresTier(t *testing.T) {
+	d := goldenDatasets(t)["uniform"]
+	base := goldenConfigs()["uniform-nopart"].cfg
+	base.Traceback = true
+	base.Cache = newMapCache()
 
-		via := base
-		via.Kernel.Params.Tier = tier
-		via = via.Normalized()
-		if got := KernelFingerprint(via.Kernel, via.Model); got != fp {
-			t.Errorf("tier %v: Params.Tier fingerprint %x != KernelTier fingerprint %x",
-				tier, got, fp)
-		}
-	}
-}
-
-// TestKernelTierPromotionDriverPath forces int16 saturation through the
-// full driver stack: a +9 match over ~4.4k identical flanks accumulates
-// past the saturation guard, so TierNarrow must promote every extension
-// and still report alignments bit-identical to the wide tier, while
-// TierAuto's headroom proof rejects the narrow kernel outright and runs
-// wide with zero promotions.
-func TestKernelTierPromotionDriverPath(t *testing.T) {
-	seq := make([]byte, 9000)
-	for i := range seq {
-		seq[i] = "ACGT"[i%4]
-	}
-	d := &workload.Dataset{
-		Name:      "sat",
-		Sequences: [][]byte{seq, append([]byte(nil), seq...)},
-		Comparisons: []workload.Comparison{
-			{H: 0, V: 1, SeedH: 4480, SeedV: 4480, SeedLen: 17},
-		},
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		IPUs: 1, Model: platform.GC200, TilesPerIPU: 4,
-		Kernel: ipukernel.Config{
-			Params: core.Params{Scorer: scoring.NewSimple(9, -9), Gap: -3, X: 50, DeltaB: 256},
-		},
-	}
-	wide, err := Run(d, cfg)
+	wide, err := Run(d, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cfg.KernelTier = core.TierNarrow
-	prom, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg := base
+	cfg.Kernel.KernelTier = ipukernel.TierAuto
+	if a, b := KernelFingerprint(base.Normalized().Kernel, base.Normalized().Model),
+		KernelFingerprint(cfg.Normalized().Kernel, cfg.Normalized().Model); a != b {
+		t.Fatalf("tier changed the kernel fingerprint: wide %x, auto %x", a, b)
 	}
-	sameResults(t, "promoted", prom.Results, wide.Results)
-	if prom.PromotedExtensions != 2 || prom.NarrowExtensions != 0 {
-		t.Errorf("narrow tier: promoted %d narrow %d, want both extensions promoted",
-			prom.PromotedExtensions, prom.NarrowExtensions)
-	}
-
-	cfg.KernelTier = core.TierAuto
 	auto, err := Run(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, "auto", auto.Results, wide.Results)
-	if auto.PromotedExtensions != 0 || auto.NarrowExtensions != 0 || auto.WideExtensions != 2 {
-		t.Errorf("auto tier on saturating scores: narrow %d wide %d promoted %d, want wide-only",
-			auto.NarrowExtensions, auto.WideExtensions, auto.PromotedExtensions)
+	sameResults(t, "auto-from-wide-cache", auto.Results, wide.Results)
+	if auto.CacheMisses != 0 || auto.CacheHits != auto.UniqueExtensions || auto.CacheHits == 0 {
+		t.Errorf("auto job over a wide-filled cache: hits %d misses %d (unique %d), want all hits",
+			auto.CacheHits, auto.CacheMisses, auto.UniqueExtensions)
 	}
 }

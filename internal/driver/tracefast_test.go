@@ -7,6 +7,7 @@ import (
 
 	"github.com/sram-align/xdropipu/internal/alignment"
 	"github.com/sram-align/xdropipu/internal/core"
+	"github.com/sram-align/xdropipu/internal/ipukernel"
 	"github.com/sram-align/xdropipu/internal/synth"
 	"github.com/sram-align/xdropipu/internal/workload"
 )
@@ -51,10 +52,10 @@ func traceScores(t *testing.T, d *workload.Dataset, cfg Config) []int {
 // extension as traced with nothing skipped.
 func TestTraceModeThreeWayOracle(t *testing.T) {
 	d := shortReadsData(t, 21, 40)
-	for _, tier := range []core.Tier{core.TierWide, core.TierAuto} {
+	for _, tier := range []ipukernel.Tier{ipukernel.TierWide, ipukernel.TierAuto} {
 		base := testCfg(2, true)
 		base.Traceback = true
-		base.KernelTier = tier
+		base.Kernel.KernelTier = tier
 
 		reps := make(map[core.TraceMode]*Report, 3)
 		for _, mode := range []core.TraceMode{core.TraceModeReplay, core.TraceModeFused, core.TraceModeAuto} {

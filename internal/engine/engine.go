@@ -113,9 +113,6 @@ type Engine struct {
 	doneJobs    int64
 	doneBatches int64
 	doneCells   int64
-	stNarrow    int64
-	stWide      int64
-	stPromoted  int64
 	stTraced    int64
 	stSkipped   int64
 	stRetries   int64
@@ -226,16 +223,15 @@ func WithTraceMode(m core.TraceMode) Option {
 	return func(e *Engine) { e.cfg.TraceMode = m }
 }
 
-// WithKernelTier selects the kernel score width for every job the engine
-// serves: core.TierWide (the int32 default), core.TierNarrow (int16
-// kernels with transparent promotion to int32 on saturation) or
-// core.TierAuto (int16 only when the headroom precheck proves saturation
-// impossible, halving the DP working set the SRAM budget must hold).
-// Per-comparison results are bit-identical across tiers; only the
-// Narrow/Wide/PromotedExtensions counters and the modeled SRAM differ.
-// The tier is part of the kernel fingerprint, so a shared result cache
-// never mixes tiers.
-func WithKernelTier(t core.Tier) Option { return func(e *Engine) { e.cfg.KernelTier = t } }
+// WithKernelTier selects the score width the SRAM model charges for
+// every job the engine serves: ipukernel.TierWide (int32, the default)
+// or ipukernel.TierAuto (int16 wherever the headroom proof holds,
+// halving those extensions' modeled DP buffers so partitioning admits
+// larger tiles). The host kernels always compute on int32, so results
+// are identical across tiers and a shared result cache serves either.
+func WithKernelTier(t ipukernel.Tier) Option {
+	return func(e *Engine) { e.cfg.Kernel.KernelTier = t }
+}
 
 // WithRetry enables per-batch retry of transient execution failures:
 // a batch whose attempt fails with a transient fault (a fault plan's
@@ -403,13 +399,6 @@ type Stats struct {
 	// DeadlineExceeded counts jobs whose WithJobDeadline expired with
 	// work outstanding.
 	DeadlineExceeded int64
-	// Kernel-tier counters over every executed extension (disjoint;
-	// cache-served and deduped comparisons execute nothing and count
-	// nowhere): NarrowExtensions completed on the int16 tier,
-	// PromotedExtensions saturated int16 and re-ran wide,
-	// WideExtensions ran int32 outright. All zero until a job opts into
-	// WithKernelTier (or a narrow driver/kernel config).
-	NarrowExtensions, WideExtensions, PromotedExtensions int64
 	// Traceback fast-path counters over every executed extension:
 	// TracedExtensions delivered a recorded trace (CIGAR),
 	// TraceSkippedExtensions fell below WithTraceMinScore's cutoff and
@@ -427,9 +416,6 @@ func (e *Engine) Stats() Stats {
 		CellsDone:              e.doneCells,
 		JobsLive:               e.live,
 		InflightBatches:        e.busy,
-		NarrowExtensions:       e.stNarrow,
-		WideExtensions:         e.stWide,
-		PromotedExtensions:     e.stPromoted,
 		TracedExtensions:       e.stTraced,
 		TraceSkippedExtensions: e.stSkipped,
 		Retries:                e.stRetries,
@@ -844,9 +830,6 @@ func (e *Engine) deliver(j *Job, bi int, out *ipukernel.BatchResult, err error, 
 	j.done++
 	e.doneBatches++
 	e.doneCells += out.Cells
-	e.stNarrow += int64(out.NarrowExtensions)
-	e.stWide += int64(out.WideExtensions)
-	e.stPromoted += int64(out.PromotedExtensions)
 	e.stTraced += int64(out.TracedExtensions)
 	e.stSkipped += int64(out.TraceSkippedExtensions)
 	if j.streaming {

@@ -12,6 +12,7 @@ package ipukernel
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -243,14 +244,13 @@ type Config struct {
 	// clobbered by the thread's next extension). Part of the kernel
 	// fingerprint when tracing.
 	TraceMode core.TraceMode
-	// KernelTier selects the kernel score width: core.TierWide (the
-	// default int32 kernels), core.TierNarrow (attempt int16 with runtime
-	// saturation promotion) or core.TierAuto (int16 only when the
-	// headroom precheck proves saturation impossible). Folded with
-	// Params.Tier — whichever knob is non-wide wins — so driver-level and
-	// kernel-level configuration agree everywhere the config flows
-	// (fingerprints, SRAM model, execution).
-	KernelTier core.Tier
+	// KernelTier selects the score width the SRAM model charges for the
+	// per-thread DP buffers: TierWide (the default) charges int32 scores,
+	// TierAuto charges int16 scores wherever the headroom proof holds.
+	// The host kernels always compute on int32, so the tier never changes
+	// an alignment — only modeled SRAM admission and, while tracing,
+	// which arena a headroom-certified extension is charged to.
+	KernelTier Tier
 	// Cost is the instruction cost model (zero value → calibrated
 	// defaults).
 	Cost platform.KernelCost
@@ -277,12 +277,30 @@ func (c Config) withDefaults(m platform.IPUModel) Config {
 	if c.Cost == (platform.KernelCost{}) {
 		c.Cost = platform.DefaultKernelCost
 	}
-	// Fold the two tier knobs into one (non-wide wins) and mirror the
-	// result on both, so the core dispatch and every SRAM consumer see
-	// the same choice. Idempotent.
-	c.KernelTier = c.Tier()
-	c.Params.Tier = c.KernelTier
 	return c
+}
+
+// Tier selects the score width the SRAM model charges for a tile's DP
+// working buffers (Config.KernelTier). It never changes an alignment:
+// the host kernels always compute on int32.
+type Tier uint8
+
+const (
+	// TierWide charges int32 scores for every extension. The default.
+	TierWide Tier = iota
+	// TierAuto charges int16 scores for every extension the headroom
+	// proof certifies (see WorkBufBytesPerThread), halving those
+	// extensions' modeled DP buffers so partitioning admits larger
+	// sequences per tile.
+	TierAuto
+)
+
+// String names the tier in messages and test output.
+func (t Tier) String() string {
+	if t == TierAuto {
+		return "auto"
+	}
+	return "wide"
 }
 
 // fusedTraceBudget is the per-thread direction-arena allowance of the
@@ -297,33 +315,21 @@ func (c Config) traceGated() bool { return c.Traceback && c.TraceMinScore > 0 }
 
 // fusedExtension decides whether an extension with side lengths lh×lv
 // records directions during the scoring pass (inline) rather than in a
-// deferred replay after it. The decision is part of the SRAM model — partition's
-// budget math calls it too — so it resolves the tier itself instead of
-// relying on the defaults pass.
+// deferred replay after it. The decision is part of the SRAM model —
+// partition's budget math calls it too. A headroom-certified extension
+// under TierAuto is modeled on the narrow codelet, which has no fused
+// recorder, so it is always charged to the deferred replay arena.
 func (c Config) fusedExtension(lh, lv int) bool {
 	if !c.Traceback || c.traceGated() || c.TraceMode == core.TraceModeReplay {
 		return false
 	}
-	p := c.Params
-	p.Tier = c.Tier()
-	if !core.FusedEligible(lh, lv, p) {
+	if !core.FusedEligible(c.Params) || c.narrowCertified(lh, lv) {
 		return false
 	}
 	if c.TraceMode == core.TraceModeFused {
 		return true
 	}
 	return c.ExtensionTraceBytes(lh, lv) <= fusedTraceBudget
-}
-
-// Tier resolves the effective kernel tier from the two equivalent knobs
-// (KernelTier and Params.Tier; non-wide wins) without requiring the
-// defaults pass first — partition and the driver consult the SRAM model
-// and fingerprints on raw configs.
-func (c Config) Tier() core.Tier {
-	if c.KernelTier != core.TierWide {
-		return c.KernelTier
-	}
-	return c.Params.Tier
 }
 
 // bufCellsPerThread returns the per-thread DP window size in score cells
@@ -350,39 +356,88 @@ func (c Config) bufCellsPerThread(maxMinLen int) int {
 }
 
 // WorkBufBytesPerThread returns the per-thread DP buffer footprint for
-// the configured algorithm and kernel tier given the largest min(m,n)
-// among a tile's extensions. This is the quantity the 55× claim
-// compares. The tier shapes it as the executing workspaces actually
-// allocate:
+// the configured algorithm and score-width tier given the largest
+// min(m,n) among a tile's extensions. This is the quantity the 55× claim
+// compares.
 //
 //   - TierWide (or narrow-ineligible parameters): int32 buffers only.
-//   - TierNarrow: int16 buffers plus the full int32 set — a saturating
-//     extension promotes mid-batch and the wide buffers must already fit.
 //   - TierAuto: when every admissible extension passes the headroom
-//     precheck (maxMinLen within core.NarrowCapLen), int16 buffers only —
-//     Auto never promotes, so this is certifiable and is the tier's SRAM
-//     win. A mixed tile provisions wide buffers for the over-cap jobs
-//     plus int16 buffers sized to the largest headroom-certified job.
+//     proof (maxMinLen within narrowCapLen), int16 buffers only. A mixed
+//     tile provisions int32 buffers for the over-cap jobs plus int16
+//     buffers sized to the largest headroom-certified job.
 func (c Config) WorkBufBytesPerThread(maxMinLen int) int {
-	wide := c.bufCellsPerThread(maxMinLen) * core.WideScoreBytes
-	if c.Params.Algo == core.AlgoReference || !c.Params.NarrowEligible() {
+	wide := c.bufCellsPerThread(maxMinLen) * wideScoreBytes
+	if !c.narrowCharged() {
 		return wide
 	}
-	switch c.Tier() {
-	case core.TierNarrow:
-		return wide + c.bufCellsPerThread(maxMinLen)*core.NarrowScoreBytes
-	case core.TierAuto:
-		if c.Params.Scorer == nil {
-			return wide
-		}
-		capLen := core.NarrowCapLen(c.Params.Scorer.MaxScore())
-		if maxMinLen <= capLen {
-			return c.bufCellsPerThread(maxMinLen) * core.NarrowScoreBytes
-		}
-		return wide + c.bufCellsPerThread(capLen)*core.NarrowScoreBytes
-	default:
-		return wide
+	capLen := narrowCapLen(c.Params.Scorer.MaxScore())
+	if maxMinLen <= capLen {
+		return c.bufCellsPerThread(maxMinLen) * narrowScoreBytes
 	}
+	return wide + c.bufCellsPerThread(capLen)*narrowScoreBytes
+}
+
+// Score-width model. An IPU codelet may keep its DP windows in int16
+// lanes where the scores provably fit — the 16-bit lanes of ksw2/SSW —
+// and TierAuto charges that narrower element size. Two conditions make
+// int16 lanes compute exactly the integers the host's int32 kernel does:
+//
+//   - Eligibility (narrowEligible) bounds X ≤ maxNarrowX and
+//     |Gap|,|GapOpen| ≤ maxNarrowGap, so the prune limit T−X stays in
+//     [−4095, satGuard16] and arithmetic on an int16 −∞ sentinel
+//     (MinInt16/4) cannot wrap.
+//   - Headroom (narrowHeadroom) bounds the best score — at most
+//     min(m,n) diagonal matches at maxScore each — by satGuard16, whose
+//     512-point margin covers one antidiagonal's growth, so no live
+//     value can leave int16.
+//
+// The host never runs a narrow kernel: under both conditions the int32
+// result is the narrow result, so the model can charge 2 bytes without a
+// second implementation to keep bit-identical.
+const (
+	wideScoreBytes   = core.ScoreBytes
+	narrowScoreBytes = 2
+	satGuard16       = math.MaxInt16 - 512
+	maxNarrowX       = 4095
+	maxNarrowGap     = 1024
+)
+
+// narrowEligible reports whether the parameters satisfy the int16
+// lanes' preconditions.
+func narrowEligible(p core.Params) bool {
+	return p.X <= maxNarrowX && -p.Gap <= maxNarrowGap && -p.GapOpen <= maxNarrowGap
+}
+
+// narrowCapLen returns the largest min-side extension length for which
+// narrowHeadroom holds at the given maximum per-symbol score. A
+// non-positive maxScore can never saturate, so the cap is unbounded.
+func narrowCapLen(maxScore int) int {
+	if maxScore <= 0 {
+		return math.MaxInt
+	}
+	return satGuard16 / maxScore
+}
+
+// narrowHeadroom reports whether an m×n extension provably never
+// leaves int16.
+func narrowHeadroom(m, n, maxScore int) bool {
+	if maxScore <= 0 {
+		return true
+	}
+	return int64(min(m, n))*int64(maxScore) <= satGuard16
+}
+
+// narrowCharged reports whether the configuration charges int16 scores
+// for any extension at all.
+func (c Config) narrowCharged() bool {
+	return c.KernelTier == TierAuto && c.Params.Algo != core.AlgoReference &&
+		c.Params.Scorer != nil && narrowEligible(c.Params)
+}
+
+// narrowCertified reports whether an lh×lv extension is charged on
+// int16 lanes.
+func (c Config) narrowCertified(lh, lv int) bool {
+	return c.narrowCharged() && narrowHeadroom(lh, lv, c.Params.Scorer.MaxScore())
 }
 
 // ExtensionTraceBytes bounds the direction-trace footprint of one
@@ -551,16 +606,6 @@ type BatchResult struct {
 	// trace storage across all the batch's extensions.
 	PeakTraceBytes int
 	TraceBytes     int64
-	// Kernel-tier accounting, one count per executed extension (an
-	// LRSplit comparison contributes two). NarrowExtensions completed on
-	// the int16 tier; PromotedExtensions saturated the int16 kernel and
-	// transparently re-ran wide; WideExtensions ran int32 outright
-	// (TierWide, narrow-ineligible parameters, or an Auto headroom
-	// refusal). The three are disjoint and sum to the executed
-	// extensions.
-	NarrowExtensions   int
-	WideExtensions     int
-	PromotedExtensions int
 	// Traceback-gate accounting, one count per executed extension (an
 	// extension is either traced or skipped, never both; both are zero
 	// with Config.Traceback off). TracedExtensions recorded and delivered
@@ -622,9 +667,6 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 		peakTrace    int
 		traceBytes   int64
 		cigarBytes   int64
-		narrowExt    int
-		wideExt      int
-		promotedExt  int
 		tracedExt    int
 		skippedExt   int
 		err          error
@@ -679,9 +721,6 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 				st.peakTrace = tr.peakTrace
 				st.traceBytes = tr.traceBytes
 				st.cigarBytes = tr.cigarBytes
-				st.narrowExt = tr.narrowExt
-				st.wideExt = tr.wideExt
-				st.promotedExt = tr.promotedExt
 				st.tracedExt = tr.tracedExt
 				st.skippedExt = tr.skippedExt
 				st.err = tr.err
@@ -710,9 +749,6 @@ func Run(dev *ipu.Device, b *Batch, cfg Config) (*BatchResult, error) {
 			res.PeakTraceBytes = st.peakTrace
 		}
 		res.TraceBytes += st.traceBytes
-		res.NarrowExtensions += st.narrowExt
-		res.WideExtensions += st.wideExt
-		res.PromotedExtensions += st.promotedExt
 		res.TracedExtensions += st.tracedExt
 		res.TraceSkippedExtensions += st.skippedExt
 		if st.sram > maxSRAM {

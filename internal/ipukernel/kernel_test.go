@@ -2,6 +2,7 @@ package ipukernel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/sram-align/xdropipu/internal/core"
@@ -282,6 +283,130 @@ func TestWorkBufBytesPerThread(t *testing.T) {
 	cfg.Params.Algo = core.AlgoAffine
 	if got := cfg.WorkBufBytesPerThread(10000); got != 7*10001*4 {
 		t.Errorf("affine buf = %d", got)
+	}
+}
+
+// TestNarrowWorkBytesHalved pins the narrow tier's accounting: on a
+// headroom-certified tile TierAuto charges exactly half the TierWide
+// working-buffer bytes, for every variant.
+func TestNarrowWorkBytesHalved(t *testing.T) {
+	dna := scoring.DNADefault
+	for _, tc := range []struct {
+		name string
+		p    core.Params
+		wide int
+	}{
+		{"restricted2", core.Params{Scorer: dna, Gap: -1, X: 15, DeltaB: 256}, 2048},
+		{"standard3", core.Params{Scorer: dna, Gap: -1, X: 15, Algo: core.AlgoStandard3}, 10812},
+		{"affine", core.Params{Scorer: dna, Gap: -1, GapOpen: -2, X: 21, Algo: core.AlgoAffine}, 25228},
+	} {
+		wide := Config{Params: tc.p, KernelTier: TierWide}.WorkBufBytesPerThread(900)
+		auto := Config{Params: tc.p, KernelTier: TierAuto}.WorkBufBytesPerThread(900)
+		if wide != tc.wide || auto*2 != wide {
+			t.Errorf("%s: wide %d (want %d), auto %d (want exactly half)", tc.name, wide, tc.wide, auto)
+		}
+	}
+}
+
+// TestNarrowIneligibleFallsBackWide: parameters outside the int16 lanes'
+// eligibility envelope are charged int32 even under TierAuto, and the
+// kernel run is identical to an explicit TierWide run.
+func TestNarrowIneligibleFallsBackWide(t *testing.T) {
+	dna := scoring.DNADefault
+	for _, tc := range []struct {
+		name string
+		p    core.Params
+		wide int
+	}{
+		{"x", core.Params{Scorer: dna, Gap: -1, X: maxNarrowX + 1, DeltaB: 256}, 2048},
+		{"gap", core.Params{Scorer: dna, Gap: -(maxNarrowGap + 1), X: 15, Algo: core.AlgoStandard3}, 10812},
+		{"gap-open", core.Params{Scorer: dna, Gap: -1, GapOpen: -(maxNarrowGap + 1), X: 15, Algo: core.AlgoAffine}, 25228},
+	} {
+		wideCfg := Config{Params: tc.p, KernelTier: TierWide}
+		autoCfg := Config{Params: tc.p, KernelTier: TierAuto}
+		if got := autoCfg.WorkBufBytesPerThread(900); got != tc.wide {
+			t.Errorf("%s: TierAuto charges %d, want the int32 %d", tc.name, got, tc.wide)
+		}
+		b, _ := buildBatch(t, 6, 300, 0.1, 1604)
+		wide, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), b, wideCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auto, err := Run(ipu.New(ipu.Config{Model: platform.GC200}), b, autoCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(auto.Out, wide.Out) || auto.Seconds != wide.Seconds {
+			t.Errorf("%s: TierAuto run differs from TierWide (seconds %g vs %g)",
+				tc.name, auto.Seconds, wide.Seconds)
+		}
+	}
+}
+
+// TestWorkBufBytesPerThreadTiers pins the score-width charge of both
+// tiers past the int16 headroom cap and where no int16 lanes apply:
+// TierAuto provisions int32 buffers plus int16 buffers sized to the
+// headroom cap for a mixed tile past it (+9 matches cap min(m,n) at
+// 3583), and charges int32 for the Reference oracle and a config without
+// a scorer.
+func TestWorkBufBytesPerThreadTiers(t *testing.T) {
+	dna, s9 := scoring.DNADefault, scoring.NewSimple(9, -9)
+	cases := []struct {
+		name       string
+		p          core.Params
+		maxMin     int
+		wide, auto int
+	}{
+		{"restricted2-at-cap", core.Params{Scorer: s9, Gap: -3, X: 50, DeltaB: 256}, 3583, 2048, 1024},
+		{"restricted2-over-cap", core.Params{Scorer: s9, Gap: -3, X: 50, DeltaB: 256}, 3584, 2048, 3072},
+		{"standard3-at-cap", core.Params{Scorer: s9, Gap: -3, X: 50, Algo: core.AlgoStandard3}, 3583, 43008, 21504},
+		{"standard3-over-cap", core.Params{Scorer: s9, Gap: -3, X: 50, Algo: core.AlgoStandard3}, 3584, 43020, 64524},
+		{"affine-over-cap", core.Params{Scorer: s9, Gap: -3, GapOpen: -5, X: 50, Algo: core.AlgoAffine}, 5000, 140028, 190204},
+		{"blosum-over-cap", core.Params{Scorer: scoring.Blosum62, Gap: -2, X: 49, DeltaB: 256}, 3583, 2048, 3072},
+		{"reference", core.Params{Scorer: dna, Gap: -1, X: 15, Algo: core.AlgoReference}, 100, 40804, 40804},
+		{"no-scorer", core.Params{Gap: -1, X: 15, Algo: core.AlgoStandard3}, 900, 10812, 10812},
+	}
+	for _, tc := range cases {
+		for _, tier := range []struct {
+			t    Tier
+			want int
+		}{{TierWide, tc.wide}, {TierAuto, tc.auto}} {
+			cfg := Config{Params: tc.p, KernelTier: tier.t}
+			if got := cfg.WorkBufBytesPerThread(tc.maxMin); got != tier.want {
+				t.Errorf("%s/%v: WorkBufBytesPerThread(%d) = %d, want %d",
+					tc.name, tier.t, tc.maxMin, got, tier.want)
+			}
+		}
+	}
+}
+
+// TestTierAutoDefersCertifiedTraces: an extension TierAuto charges on
+// int16 lanes is modeled on the narrow codelet, which has no fused
+// recorder, so its trace arena is always charged to the deferred replay
+// pool; past the headroom cap it fuses exactly as under TierWide.
+func TestTierAutoDefersCertifiedTraces(t *testing.T) {
+	p := core.Params{Scorer: scoring.NewSimple(9, -9), Gap: -3, X: 50, DeltaB: 256}
+	for _, tc := range []struct {
+		mode   core.TraceMode
+		lh, lv int
+	}{
+		{core.TraceModeAuto, 100, 100},
+		{core.TraceModeFused, 100, 100},
+		{core.TraceModeFused, 5000, 100},
+		{core.TraceModeFused, 3584, 3600},
+	} {
+		b := Config{Params: p, Traceback: true, TraceMode: tc.mode}.ExtensionTraceBytes(tc.lh, tc.lv)
+		for _, tier := range []Tier{TierWide, TierAuto} {
+			cfg := Config{Params: p, Traceback: true, TraceMode: tc.mode, KernelTier: tier}
+			want := [2]int{0, b}
+			if tier == TierWide || min(tc.lh, tc.lv) > 3583 {
+				want = [2]int{b, 0}
+			}
+			if fused, replay := cfg.TraceCharges(tc.lh, tc.lv); [2]int{fused, replay} != want {
+				t.Errorf("%v %v %dx%d: charges fused %d replay %d, want %v",
+					tier, tc.mode, tc.lh, tc.lv, fused, replay, want)
+			}
+		}
 	}
 }
 

@@ -43,12 +43,6 @@ type tileResult struct {
 	cigarBytes int64
 	tracedExt  int
 	skippedExt int
-	// Kernel-tier accounting per executed extension (disjoint): completed
-	// on the int16 tier, saturated-and-promoted to int32, or ran int32
-	// outright.
-	narrowExt   int
-	wideExt     int
-	promotedExt int
 	// err records a traceback divergence (recording not bit-matching the
 	// score pass) — a kernel bug surfaced loudly instead of shipping a
 	// wrong alignment. A trace-overflow (core.ErrTraceTooLarge) is not a
@@ -497,14 +491,6 @@ func accumulate(o *AlignOut, tr *tileResult, s core.Stats) {
 	tr.cells += s.Cells
 	tr.sumBand += s.SumComputedBand
 	tr.antidiag += int64(s.Antidiagonals)
-	switch {
-	case s.Narrow:
-		tr.narrowExt++
-	case s.Promoted:
-		tr.promotedExt++
-	default:
-		tr.wideExt++
-	}
 }
 
 // instrCost converts an extension trace into thread-instruction bundles

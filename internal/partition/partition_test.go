@@ -379,10 +379,10 @@ func TestDeriveSeqBudget(t *testing.T) {
 // whose full SRAM model — work buffers plus the shared trace arena —
 // fits the device, and the modeled arena allowance must dominate the
 // peak trace footprint the kernel actually records while replaying
-// extensions. Exercised across every kernel tier so the narrow-tier
-// working-set savings never under-charge the trace arena.
+// extensions. Exercised under both score-width tiers so TierAuto's
+// narrower working-set charge never under-charges the trace arena.
 func TestTracebackBudgetAdmitsWithinSRAM(t *testing.T) {
-	for _, tier := range []core.Tier{core.TierWide, core.TierNarrow, core.TierAuto} {
+	for _, tier := range []ipukernel.Tier{ipukernel.TierWide, ipukernel.TierAuto} {
 		d := readsData(t, 11)
 		cfg := testKernelCfg()
 		cfg.Traceback = true

@@ -70,9 +70,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		tot.CacheMisses += sn.CacheMisses
 		tot.CacheEvictions += sn.CacheEvictions
 		tot.CacheBytes += sn.CacheBytes
-		tot.NarrowExtensions += sn.NarrowExtensions
-		tot.WideExtensions += sn.WideExtensions
-		tot.PromotedExtensions += sn.PromotedExtensions
 		tot.TracedExtensions += sn.TracedExtensions
 		tot.TraceSkippedExtensions += sn.TraceSkippedExtensions
 		tot.Retries += sn.Retries
@@ -137,9 +134,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	evict := counter("xdropipu_engine_cache_evictions_total", "Result-cache evictions per shard.")
 	cbytes := gauge("xdropipu_engine_cache_bytes", "Approximate resident result-cache footprint per shard.")
 	hitRate := gauge("xdropipu_engine_cache_hit_rate", "Lifetime cache hit rate per shard.")
-	narrow := counter("xdropipu_engine_narrow_extensions_total", "Extensions completed on the int16 kernel tier per shard.")
-	wide := counter("xdropipu_engine_wide_extensions_total", "Extensions executed on the int32 kernel tier per shard.")
-	promoted := counter("xdropipu_engine_promoted_extensions_total", "Extensions that saturated int16 and re-ran int32 per shard.")
 	traced := counter("xdropipu_engine_traced_extensions_total", "Extensions that delivered a recorded traceback per shard.")
 	traceSkipped := counter("xdropipu_engine_trace_skipped_extensions_total", "Extensions the traceback score gate skipped per shard.")
 	retries := counter("xdropipu_engine_retries_total", "Batch retries after transient faults per shard.")
@@ -162,9 +156,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		evict.Add(float64(sn.CacheEvictions), "shard", l)
 		cbytes.Add(float64(sn.CacheBytes), "shard", l)
 		hitRate.Add(sn.CacheHitRate, "shard", l)
-		narrow.Add(float64(sn.NarrowExtensions), "shard", l)
-		wide.Add(float64(sn.WideExtensions), "shard", l)
-		promoted.Add(float64(sn.PromotedExtensions), "shard", l)
 		traced.Add(float64(sn.TracedExtensions), "shard", l)
 		traceSkipped.Add(float64(sn.TraceSkippedExtensions), "shard", l)
 		retries.Add(float64(sn.Retries), "shard", l)
@@ -208,7 +199,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	metrics.WriteProm(w, []metrics.PromFamily{
 		jobsDone, batches, cells, live, inflight, depth, occ,
 		hits, misses, evict, cbytes, hitRate,
-		narrow, wide, promoted, traced, traceSkipped,
+		traced, traceSkipped,
 		retries, hedges, quarantined, faults, deadlines,
 		submitted, completed, failed, cancelled, shed, limited, tliv,
 		trackedG,

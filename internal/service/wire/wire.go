@@ -134,7 +134,10 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 // from pre-spine senders and "XDW2" multi-slab spines. Lengths and
 // counts are checked against the remaining input before any allocation,
 // so truncated or hostile payloads (including absurd slab counts) fail
-// cleanly instead of over-allocating.
+// cleanly instead of over-allocating. Decoding is strict: only the
+// canonical encoding of a dataset is accepted (minimal varints, known
+// flag bits, XDW2 only for multi-slab spines), so every accepted payload
+// re-encodes byte for byte.
 func DecodeDataset(p []byte) (*workload.Dataset, error) {
 	r := &reader{p: p}
 	var m [4]byte
@@ -144,10 +147,18 @@ func DecodeDataset(p []byte) (*workload.Dataset, error) {
 		return nil, fmt.Errorf("wire: bad magic %q", m[:])
 	}
 	flags := r.u8()
+	if flags&^flagProtein != 0 {
+		r.fail("unknown flag bits %#x", flags&^flagProtein)
+	}
 	name := string(r.lenBytes("name"))
 	var slabs [][]byte
 	if multi {
 		nslabs := r.count("slabs", 1)
+		if nslabs < 2 && r.err == nil {
+			// Spines that fit one slab travel as XDW1; accepting them
+			// here would give one dataset two encodings.
+			r.fail("XDW2 frame with %d slabs", nslabs)
+		}
 		slabs = make([][]byte, 0, nslabs)
 		for i := 0; i < nslabs && r.err == nil; i++ {
 			slabs = append(slabs, append([]byte(nil), r.lenBytes("slab")...))
@@ -246,6 +257,11 @@ func (r *reader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.p[r.off:])
 	if n <= 0 {
 		r.fail("bad varint")
+		return 0
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	if binary.PutUvarint(tmp[:], v) != n {
+		r.fail("overlong varint")
 		return 0
 	}
 	r.off += n
@@ -430,9 +446,6 @@ type ReportSummary struct {
 	PeakTracebackBytes      int     `json:"peakTracebackBytes"`
 	TracebackBytes          int64   `json:"tracebackBytes"`
 	PartialFailures         int     `json:"partialFailures"`
-	NarrowExtensions        int     `json:"narrowExtensions"`
-	WideExtensions          int     `json:"wideExtensions"`
-	PromotedExtensions      int     `json:"promotedExtensions"`
 	TracedExtensions        int     `json:"tracedExtensions"`
 	TraceSkippedExtensions  int     `json:"traceSkippedExtensions"`
 }
@@ -457,9 +470,6 @@ func Summarize(rep *driver.Report) ReportSummary {
 		PeakTracebackBytes:      rep.PeakTracebackBytes,
 		TracebackBytes:          rep.TracebackBytes,
 		PartialFailures:         rep.PartialFailures,
-		NarrowExtensions:        rep.NarrowExtensions,
-		WideExtensions:          rep.WideExtensions,
-		PromotedExtensions:      rep.PromotedExtensions,
 		TracedExtensions:        rep.TracedExtensions,
 		TraceSkippedExtensions:  rep.TraceSkippedExtensions,
 	}
@@ -486,9 +496,6 @@ func (s ReportSummary) Report(results []ipukernel.AlignOut) *driver.Report {
 		PeakTracebackBytes:      s.PeakTracebackBytes,
 		TracebackBytes:          s.TracebackBytes,
 		PartialFailures:         s.PartialFailures,
-		NarrowExtensions:        s.NarrowExtensions,
-		WideExtensions:          s.WideExtensions,
-		PromotedExtensions:      s.PromotedExtensions,
 		TracedExtensions:        s.TracedExtensions,
 		TraceSkippedExtensions:  s.TraceSkippedExtensions,
 	}

@@ -5,6 +5,7 @@
 package wire
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 	"github.com/sram-align/xdropipu/internal/workload"
 )
 
-func encodedPayload(t *testing.T) []byte {
+func encodedPayload(t testing.TB) []byte {
 	t.Helper()
 	d := synth.Reads(synth.ReadsSpec{
 		Name: "wire", GenomeLen: 30000, Coverage: 6, MeanReadLen: 1500, MinReadLen: 600,
@@ -85,9 +86,9 @@ func TestServiceWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestServiceWireRejectsCorruption(t *testing.T) {
-	p := encodedPayload(t)
-	cases := map[string][]byte{
+// corruptPayloads derives malformed variants of a valid payload p.
+func corruptPayloads(p []byte) map[string][]byte {
+	return map[string][]byte{
 		"empty":      {},
 		"bad magic":  append([]byte("XDW9"), p[4:]...),
 		"truncated":  p[:len(p)/2],
@@ -95,26 +96,99 @@ func TestServiceWireRejectsCorruption(t *testing.T) {
 		"magic only": p[:4],
 		"cut varint": p[:5],
 	}
-	for name, payload := range cases {
-		if _, err := DecodeDataset(payload); err == nil {
-			t.Fatalf("%s payload decoded without error", name)
-		} else if !strings.Contains(err.Error(), "wire") {
-			t.Fatalf("%s: error %q lost the wire prefix", name, err)
-		}
+}
+
+func TestServiceWireRejectsCorruption(t *testing.T) {
+	for name, payload := range corruptPayloads(encodedPayload(t)) {
+		mustReject(t, name, payload)
+	}
+}
+
+// hostilePayloads are hand-built frames claiming absurd element counts
+// or addressing data the payload never shipped.
+func hostilePayloads() map[string][]byte {
+	// magic, flags 0, empty name, empty slab, then a refs count of 2^40
+	// the remaining zero bytes cannot possibly hold.
+	refs := []byte{'X', 'D', 'W', '1', 0, 0, 0}
+	refs = append(refs, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20) // uvarint 2^40
+	// magic, flags, empty name, then 2^40 slabs.
+	slabs := []byte{'X', 'D', 'W', '2', 0, 0}
+	slabs = append(slabs, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20)
+	// Two 4-byte slabs and one span naming slab 7.
+	index := []byte{'X', 'D', 'W', '2', 0, 0, 2, 4}
+	index = append(index, "AAAA"...)
+	index = append(index, 4)
+	index = append(index, "CCCC"...)
+	index = append(index, 1)
+	index = u32le(u32le(u32le(index, 7), 0), 4)
+	index = append(index, 0) // empty plan
+	// One 8-byte slab and a span whose int32 end Off+Len wraps negative.
+	wrap := []byte{'X', 'D', 'W', '1', 0, 0, 8}
+	wrap = append(wrap, "ACGTACGT"...)
+	wrap = append(wrap, 1)
+	wrap = u32le(u32le(wrap, 0x30303030), 0x58303030)
+	wrap = append(wrap, 0) // empty plan
+	return map[string][]byte{
+		"refs count": refs, "slab count": slabs, "slab index": index, "span end overflow": wrap,
+	}
+}
+
+// mustReject asserts DecodeDataset refuses payload with a wire error.
+func mustReject(t *testing.T, name string, payload []byte) {
+	t.Helper()
+	if _, err := DecodeDataset(payload); err == nil {
+		t.Fatalf("%s payload decoded without error", name)
+	} else if !strings.Contains(err.Error(), "wire") {
+		t.Fatalf("%s: error %q lost the wire prefix", name, err)
 	}
 }
 
 // TestServiceWireHostileCounts: a payload claiming absurd element counts
 // must fail the bounds check, not attempt the allocation.
 func TestServiceWireHostileCounts(t *testing.T) {
-	// Minimal hand-built payload: magic, flags 0, empty name, empty
-	// slab, then a refs count of 2^40 the remaining zero bytes cannot
-	// possibly hold.
-	hostile := []byte{'X', 'D', 'W', '1', 0, 0, 0}
-	hostile = append(hostile, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20) // uvarint 2^40
-	if _, err := DecodeDataset(hostile); err == nil {
-		t.Fatal("hostile refs count decoded without error")
+	mustReject(t, "hostile refs count", hostilePayloads()["refs count"])
+}
+
+// TestServiceWireHostileSlabCount: an XDW2 payload claiming 2^40 slabs
+// must fail the bounds check before any per-slab allocation.
+func TestServiceWireHostileSlabCount(t *testing.T) {
+	mustReject(t, "hostile slab count", hostilePayloads()["slab count"])
+}
+
+// TestServiceWireRejectsOutOfRangeSlabIndex: a span naming a slab the
+// payload never shipped must fail restore, not index out of bounds.
+func TestServiceWireRejectsOutOfRangeSlabIndex(t *testing.T) {
+	_, err := DecodeDataset(hostilePayloads()["slab index"])
+	if err == nil || !strings.Contains(err.Error(), "slab 7") {
+		t.Fatalf("out-of-range slab index: error %v, want a restore error naming slab 7", err)
 	}
+}
+
+// TestServiceWireRejectsOverflowingSpan: a span whose int32 end wraps
+// negative must fail restore instead of slicing out of bounds.
+func TestServiceWireRejectsOverflowingSpan(t *testing.T) {
+	mustReject(t, "span end overflow", hostilePayloads()["span end overflow"])
+}
+
+// TestServiceWireRejectsNonCanonical: the decoder accepts only the
+// canonical encoding, so overlong varints, unknown flag bits and a
+// single-slab spine framed as XDW2 are refused rather than decoded to a
+// dataset that re-encodes differently.
+func TestServiceWireRejectsNonCanonical(t *testing.T) {
+	golden := xdw1Golden()
+	overlong := append([]byte{}, golden[:5]...)
+	overlong = append(overlong, 0x81, 0x00) // name length 1, two bytes
+	overlong = append(overlong, golden[6:]...)
+	flags := append([]byte{}, golden...)
+	flags[4] = 0x02
+	single := []byte{'X', 'D', 'W', '2', 0, 0, 1, 4}
+	single = append(single, "AAAA"...)
+	single = append(single, 1)
+	single = u32le(u32le(u32le(single, 0), 0), 4)
+	single = append(single, 0)
+	mustReject(t, "overlong varint", overlong)
+	mustReject(t, "unknown flags", flags)
+	mustReject(t, "single-slab XDW2", single)
 }
 
 // u32le appends v little-endian — for hand-building golden payloads.
@@ -122,7 +196,7 @@ func u32le(p []byte, v uint32) []byte {
 	return append(p, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-func multiSlabDataset(t *testing.T) *workload.Dataset {
+func multiSlabDataset(t testing.TB) *workload.Dataset {
 	t.Helper()
 	a := workload.NewArena(0, 4)
 	a.SetMaxSlabBytes(8)
@@ -194,10 +268,9 @@ func TestServiceWireMultiSlabRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServiceWireXDW1GoldenDecode pins version-1 decode compatibility with
-// a hand-rolled byte payload — independent of the current encoder, so an
-// encoder change can never silently redefine what old senders mean.
-func TestServiceWireXDW1GoldenDecode(t *testing.T) {
+// xdw1Golden is a hand-rolled version-1 payload: two sequences in one
+// slab and one comparison.
+func xdw1Golden() []byte {
 	p := []byte{'X', 'D', 'W', '1', 0}
 	p = append(p, 1, 'g')                       // name "g"
 	p = append(p, 8)                            // slab length
@@ -209,6 +282,14 @@ func TestServiceWireXDW1GoldenDecode(t *testing.T) {
 	for _, v := range []uint32{0, 1, 0, 0, 4} { // H V SeedH SeedV SeedLen columns
 		p = u32le(p, v)
 	}
+	return p
+}
+
+// TestServiceWireXDW1GoldenDecode pins version-1 decode compatibility with
+// a hand-rolled byte payload — independent of the current encoder, so an
+// encoder change can never silently redefine what old senders mean.
+func TestServiceWireXDW1GoldenDecode(t *testing.T) {
+	p := xdw1Golden()
 	d, err := DecodeDataset(p)
 	if err != nil {
 		t.Fatal(err)
@@ -236,49 +317,62 @@ func TestServiceWireXDW1GoldenDecode(t *testing.T) {
 	}
 }
 
-func TestServiceWireMultiSlabRejectsCorruption(t *testing.T) {
-	d := multiSlabDataset(t)
-	p, err := EncodeDataset(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
+// corruptMultiSlabPayloads derives malformed variants of a valid XDW2
+// payload p.
+func corruptMultiSlabPayloads(p []byte) map[string][]byte {
+	return map[string][]byte{
 		"truncated mid-slab": p[:9],
 		"truncated mid-refs": p[:len(p)-30],
 		"trailing":           append(append([]byte{}, p...), 0xAB),
 	}
-	for name, payload := range cases {
-		if _, err := DecodeDataset(payload); err == nil {
-			t.Fatalf("%s payload decoded without error", name)
-		} else if !strings.Contains(err.Error(), "wire") {
-			t.Fatalf("%s: error %q lost the wire prefix", name, err)
+}
+
+func TestServiceWireMultiSlabRejectsCorruption(t *testing.T) {
+	p, err := EncodeDataset(multiSlabDataset(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range corruptMultiSlabPayloads(p) {
+		mustReject(t, name, payload)
+	}
+}
+
+// FuzzDecodeDataset fuzzes the network boundary: no input may panic the
+// decoder, every accepted dataset must pass Validate, and an accepted
+// payload must be the canonical encoding of what it decodes to. Seeded
+// with valid XDW1 and XDW2 frames plus the corruption and hostile-count
+// tables.
+func FuzzDecodeDataset(f *testing.F) {
+	// Small frames keep each execution, and the fuzzer's minimisation
+	// of every new input, cheap enough for a short CI run.
+	single := xdw1Golden()
+	multi, err := EncodeDataset(multiSlabDataset(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(single)
+	f.Add(multi)
+	for _, table := range []map[string][]byte{
+		corruptPayloads(single), corruptMultiSlabPayloads(multi), hostilePayloads(),
+	} {
+		for _, p := range table {
+			f.Add(p)
 		}
 	}
-}
-
-// TestServiceWireHostileSlabCount: an XDW2 payload claiming 2^40 slabs
-// must fail the bounds check before any per-slab allocation.
-func TestServiceWireHostileSlabCount(t *testing.T) {
-	hostile := []byte{'X', 'D', 'W', '2', 0, 0}                   // magic, flags, empty name
-	hostile = append(hostile, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20) // uvarint 2^40 slabs
-	if _, err := DecodeDataset(hostile); err == nil {
-		t.Fatal("hostile slab count decoded without error")
-	}
-}
-
-// TestServiceWireRejectsOutOfRangeSlabIndex: a span naming a slab the
-// payload never shipped must fail restore, not index out of bounds.
-func TestServiceWireRejectsOutOfRangeSlabIndex(t *testing.T) {
-	p := []byte{'X', 'D', 'W', '2', 0, 0} // magic, flags, empty name
-	p = append(p, 1, 4)                   // 1 slab, 4 bytes
-	p = append(p, "AAAA"...)
-	p = append(p, 1)          // 1 ref
-	p = u32le(p, 7)           // slab 7 of a 1-slab payload
-	p = u32le(u32le(p, 0), 4) // off 0 len 4
-	p = append(p, 0)          // empty plan
-	if _, err := DecodeDataset(p); err == nil {
-		t.Fatal("out-of-range slab index decoded without error")
-	} else if !strings.Contains(err.Error(), "wire") {
-		t.Fatalf("error %q lost the wire prefix", err)
-	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		d, err := DecodeDataset(p)
+		if err != nil {
+			return
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("accepted payload fails Validate: %v", err)
+		}
+		q, err := EncodeDataset(d)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted payload: %v", err)
+		}
+		if !bytes.Equal(q, p) {
+			t.Fatalf("accepted payload is not canonical: %d bytes in, %d re-encoded", len(p), len(q))
+		}
+	})
 }

@@ -79,6 +79,9 @@ type slab struct {
 	// spilled). Slabs are immutable once sealed, so the file never needs
 	// rewriting.
 	path string
+	// digest is the content digest recorded when the spill file was
+	// written; fault-in refuses a file that no longer matches it.
+	digest SeqDigest
 }
 
 // bytes returns the resident view, or nil while spilled.

@@ -41,7 +41,9 @@ func RestoreArenaSlabs(slabs [][]byte, refs []SeqRef) (*Arena, error) {
 			return nil, fmt.Errorf("workload: restored span %d references slab %d of a %d-slab spine",
 				i, r.Slab, len(slabs))
 		}
-		if r.Off < 0 || r.Len < 0 || int(r.End()) > len(slabs[r.Slab]) {
+		// Off+Len in int64: hostile int32 spans must not wrap past the
+		// bound into a negative end.
+		if r.Off < 0 || r.Len < 0 || int64(r.Off)+int64(r.Len) > int64(len(slabs[r.Slab])) {
 			return nil, fmt.Errorf("workload: restored span %d (%d+%d) outside the %d-byte slab %d",
 				i, r.Off, r.Len, len(slabs[r.Slab]), r.Slab)
 		}

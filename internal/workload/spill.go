@@ -8,7 +8,10 @@
 // Lifecycle per slab: open → sealed → spilled ⇄ resident, with pins
 // holding a slab resident. Slabs are immutable once sealed, so a spill
 // file is written at most once and never invalidated; re-spilling a
-// faulted slab just drops the in-memory bytes again.
+// faulted slab just drops the in-memory bytes again. The first spill
+// records the slab's content digest and every fault-in verifies it, so a
+// spill file altered on disk — even at the same length — fails the pin
+// instead of feeding wrong bytes to the kernels.
 
 package workload
 
@@ -75,6 +78,7 @@ func (a *Arena) Spill() (int64, error) {
 				return released, fmt.Errorf("workload: spill slab %d: %w", si, werr)
 			}
 			sl.path = f.Name()
+			sl.digest = digestBytes(b)
 		}
 		sl.data.Store(nil)
 		released += int64(sl.size)
@@ -105,6 +109,9 @@ func (a *Arena) faultInLocked(sl *slab) ([]byte, error) {
 	if len(buf) != sl.size {
 		return nil, fmt.Errorf("workload: spill file %s holds %d bytes, slab expects %d",
 			sl.path, len(buf), sl.size)
+	}
+	if digestBytes(buf) != sl.digest {
+		return nil, fmt.Errorf("workload: spill file %s does not match the digest of the slab it holds", sl.path)
 	}
 	sl.setBytes(buf)
 	a.faults++

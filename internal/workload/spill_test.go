@@ -383,3 +383,39 @@ func TestSpillFaultErrorSurfacesOnPin(t *testing.T) {
 		t.Error("pin of a slab with a missing spill file succeeded")
 	}
 }
+
+// TestSpillCorruptionSurfacesOnPin: a spill file altered on disk at the
+// same length (one flipped byte) must fail the pin with an error rather
+// than hand the corrupted bytes to a reader; the untouched slab still
+// pins cleanly.
+func TestSpillCorruptionSurfacesOnPin(t *testing.T) {
+	a := rolledArena(t)
+	a.EnableSpill(t.TempDir())
+	a.Seal()
+	if _, err := a.Spill(); err != nil {
+		t.Fatal(err)
+	}
+	path := a.slabs[0].path
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x01
+	if err := os.WriteFile(path, b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Pin([]int32{0}); err == nil {
+		t.Fatal("pin of a slab whose spill file was corrupted in place succeeded")
+	}
+	if st := a.SlabStateOf(0); st != SlabSpilled {
+		t.Errorf("corrupted slab state = %v after the failed pin, want spilled", st)
+	}
+	pin, err := a.Pin([]int32{1})
+	if err != nil {
+		t.Fatalf("pin of the intact slab: %v", err)
+	}
+	if got := string(pin.Slabs()[1][0:4]); got != "GGGG" {
+		t.Errorf("intact slab faulted in as %q", got)
+	}
+	pin.Release()
+}

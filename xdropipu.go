@@ -52,9 +52,9 @@ type (
 	Workspace = core.Workspace
 	// Algo selects an X-Drop variant.
 	Algo = core.Algo
-	// KernelTier selects the DP arithmetic width (wide int32, narrow
-	// int16 with saturation-checked promotion, or automatic).
-	KernelTier = core.Tier
+	// KernelTier selects the score width the SRAM model charges for DP
+	// buffers (wide int32, or int16 where the headroom proof holds).
+	KernelTier = ipukernel.Tier
 )
 
 // X-Drop variants.
@@ -69,19 +69,16 @@ const (
 	AlgoAffine = core.AlgoAffine
 )
 
-// Kernel tiers. Every tier returns bit-identical Results; they differ
-// only in DP working-set footprint and throughput.
+// Kernel tiers. The host kernels always compute on int32, so every tier
+// returns identical Results; the tiers differ only in the modeled SRAM
+// footprint of the DP buffers and therefore in tile admission.
 const (
-	// TierWide runs every extension on int32 lanes (the default).
-	TierWide = core.TierWide
-	// TierNarrow attempts int16 lanes first and transparently re-runs
-	// an extension on int32 when its score headroom saturates.
-	TierNarrow = core.TierNarrow
-	// TierAuto proves per extension that int16 cannot saturate and
-	// picks the narrow kernel only then — it never promotes, so the
-	// SRAM planner can budget narrow-only working sets and admit
-	// larger sequences per tile.
-	TierAuto = core.TierAuto
+	// TierWide charges int32 scores for every extension (the default).
+	TierWide = ipukernel.TierWide
+	// TierAuto charges int16 scores for every extension whose score
+	// provably cannot leave int16, so the SRAM planner budgets smaller
+	// working sets and admits larger sequences per tile.
+	TierAuto = ipukernel.TierAuto
 )
 
 // TraceMode selects when traced comparisons record their direction
@@ -366,12 +363,11 @@ var (
 	// records with the fused kernel and produces bit-identical
 	// alignments; they differ in SRAM charging and modeled time.
 	WithTraceMode = engine.WithTraceMode
-	// WithKernelTier selects the DP arithmetic width (TierWide,
-	// TierNarrow, TierAuto). Results are bit-identical across tiers;
-	// TierAuto halves the per-thread DP working set whenever the
-	// scoring regime provably cannot saturate int16, letting the
-	// partitioner admit larger sequences per tile. Tier counters
-	// surface in EngineStats.
+	// WithKernelTier selects the score width the SRAM model charges
+	// (TierWide, TierAuto). Results are identical across tiers and
+	// share cache entries; TierAuto halves the modeled per-thread DP
+	// working set whenever the scoring regime provably cannot leave
+	// int16, letting the partitioner admit larger sequences per tile.
 	WithKernelTier = engine.WithKernelTier
 	// WithRetry re-issues batches whose execution failed transiently,
 	// with capped exponential backoff: max retries per batch, budget
